@@ -60,6 +60,19 @@ ls "$ckpt_dir"/ckpt-*.syackpt > /dev/null
 diff /tmp/sya_ci_ref.csv /tmp/sya_ci_resumed.csv
 echo "crash-recovery smoke: resumed scores match the reference"
 
+# Determinism smoke: the sya engine draws every sample from a
+# per-(seed, epoch, variable) stream against the board frozen at the
+# phase start, so its scores must not depend on the cell worker count —
+# one and two workers must agree byte for byte at one seed.
+rm -f /tmp/sya_ci_workers1.csv /tmp/sya_ci_workers2.csv
+workers_run=(./target/release/sya run demo/gwdb.ddlog
+    --table Well=demo/wells.csv --evidence demo/evidence.csv
+    --engine sya --epochs 300 --seed 7)
+"${workers_run[@]}" --workers 1 --output /tmp/sya_ci_workers1.csv > /dev/null
+"${workers_run[@]}" --workers 2 --output /tmp/sya_ci_workers2.csv > /dev/null
+diff /tmp/sya_ci_workers1.csv /tmp/sya_ci_workers2.csv
+echo "determinism smoke: 1- and 2-worker sya scores match"
+
 # Serving smoke: boot `sya serve` on the demo KB (ephemeral port), drive
 # it with the bench HTTP client — health, a marginal read, a batch
 # query, an evidence POST that must re-sample something and bump the KB

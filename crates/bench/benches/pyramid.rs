@@ -44,7 +44,16 @@ fn bench_pyramid(c: &mut Criterion) {
             BenchmarkId::new("incremental_spatial", n),
             &(&graph, &pyramid, &changed, &cfg),
             |b, (graph, pyramid, changed, cfg)| {
-                b.iter(|| black_box(incremental_spatial_gibbs(graph, pyramid, changed, cfg)))
+                b.iter(|| {
+                    black_box(incremental_spatial_gibbs(
+                        graph,
+                        pyramid,
+                        changed,
+                        cfg,
+                        None,
+                        &sya_obs::Obs::disabled(),
+                    ))
+                })
             },
         );
         group.bench_with_input(

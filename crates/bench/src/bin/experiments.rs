@@ -573,6 +573,8 @@ fn fig13(scale: Scale) {
             pyramid,
             &changed,
             &kb.config.infer,
+            None,
+            &sya_obs::Obs::disabled(),
         );
         let sya_ms = t0.elapsed().as_secs_f64() * 1e3;
         // DeepDive: sequential re-sampling of the affected set.

@@ -598,7 +598,7 @@ impl SyaSession {
             }
             // 4. Re-sample only the new variables' concliques.
             if !new_vars.is_empty() {
-                let (fresh, touched) = sya_infer::incremental_spatial_gibbs_warm(
+                let (fresh, touched) = sya_infer::incremental_spatial_gibbs(
                     &kb.grounding.graph,
                     pyramid,
                     &new_vars,

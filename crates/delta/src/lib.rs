@@ -306,7 +306,7 @@ pub fn apply_updates(
 
     let t1 = Instant::now();
     if !changed.is_empty() {
-        let (fresh, affected) = sya_infer::incremental_spatial_gibbs_warm(
+        let (fresh, affected) = sya_infer::incremental_spatial_gibbs(
             &kb.grounding.graph,
             pyramid,
             &changed,

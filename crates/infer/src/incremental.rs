@@ -2,52 +2,36 @@
 //! some variables (new evidence, changed values), only the concliques of
 //! the affected variables are re-sampled instead of the whole graph.
 
+use crate::ckpt::CheckpointOptions;
 use crate::marginals::MarginalCounts;
 use crate::pyramid::{CellKey, PyramidIndex};
-use crate::spatial_gibbs::{run_spatial_gibbs, InferConfig};
+use crate::spatial_gibbs::{run_chains, InferConfig, Start};
 use std::collections::HashSet;
 use sya_fg::{FactorGraph, VarId};
 use sya_obs::Obs;
+use sya_runtime::ExecContext;
 
 /// Re-runs Spatial Gibbs Sampling restricted to the pyramid cells that
 /// contain the `changed` variables or their Markov-blanket neighbours.
+///
+/// `init` warm-starts the chains (one value per variable, e.g. the
+/// current marginal argmax). The restricted sweep conditions on the
+/// values of every variable *outside* the affected cells, so callers
+/// that hold converged marginals should always pass them: starting the
+/// frozen surroundings at random values biases the affected region
+/// toward states the converged chain never visits.
+///
+/// The run executes inside an `infer.incremental` span on `obs` and
+/// bumps the `infer.incremental.resampled_vars` /
+/// `infer.incremental.cells_touched` counters, so a long-lived process
+/// (the serving layer, repeated `extend` calls) accumulates how much
+/// re-sampling its updates cost.
 ///
 /// Returns the new counts (marginals are meaningful for the affected
 /// variables) plus the set of variables that were actually re-sampled.
 /// Merge the counts into the full counters with
 /// [`MarginalCounts::merge_affected`], passing the returned set.
 pub fn incremental_spatial_gibbs(
-    graph: &FactorGraph,
-    pyramid: &PyramidIndex,
-    changed: &[VarId],
-    cfg: &InferConfig,
-) -> (MarginalCounts, HashSet<VarId>) {
-    incremental_spatial_gibbs_observed(graph, pyramid, changed, cfg, &Obs::disabled())
-}
-
-/// [`incremental_spatial_gibbs`] under an observability handle: the run
-/// executes inside an `infer.incremental` span and bumps the
-/// `infer.incremental.resampled_vars` / `infer.incremental.cells_touched`
-/// counters, so a long-lived process (the serving layer, repeated
-/// `extend` calls) accumulates how much re-sampling its updates cost.
-pub fn incremental_spatial_gibbs_observed(
-    graph: &FactorGraph,
-    pyramid: &PyramidIndex,
-    changed: &[VarId],
-    cfg: &InferConfig,
-    obs: &Obs,
-) -> (MarginalCounts, HashSet<VarId>) {
-    incremental_spatial_gibbs_warm(graph, pyramid, changed, cfg, None, obs)
-}
-
-/// [`incremental_spatial_gibbs_observed`] from a warm starting
-/// assignment (one value per variable, e.g. the current marginal
-/// argmax). The restricted sweep conditions on the values of every
-/// variable *outside* the affected cells, so callers that hold converged
-/// marginals should always pass them: starting the frozen surroundings
-/// at random values biases the affected region toward states the
-/// converged chain never visits.
-pub fn incremental_spatial_gibbs_warm(
     graph: &FactorGraph,
     pyramid: &PyramidIndex,
     changed: &[VarId],
@@ -88,8 +72,12 @@ pub fn incremental_spatial_gibbs_warm(
     obs.counter_add("infer.incremental.cells_touched", cells.len() as u64);
     obs.counter_add("infer.incremental.resampled_vars", resampled.len() as u64);
 
-    let counts = run_spatial_gibbs(graph, pyramid, cfg, Some(&cells), init);
-    (counts, resampled)
+    let start = init.map_or(Start::Fresh, Start::Warm);
+    let ctx = ExecContext::unbounded();
+    let none = CheckpointOptions::none();
+    let run = run_chains(graph, pyramid, cfg, &ctx, Some(&cells), start, none)
+        .unwrap_or_else(|e| panic!("incremental spatial gibbs failed: {e}"));
+    (run.counts, resampled)
 }
 
 /// The DeepDive-style incremental comparator: without a spatial index
@@ -173,6 +161,16 @@ mod tests {
         g
     }
 
+    /// A cold-started, unobserved incremental run.
+    fn resample(
+        g: &FactorGraph,
+        pyramid: &PyramidIndex,
+        changed: &[VarId],
+        cfg: &InferConfig,
+    ) -> (MarginalCounts, HashSet<VarId>) {
+        incremental_spatial_gibbs(g, pyramid, changed, cfg, None, &Obs::disabled())
+    }
+
     fn cfg(epochs: usize) -> InferConfig {
         InferConfig {
             epochs,
@@ -189,7 +187,7 @@ mod tests {
     fn only_affected_cells_are_resampled() {
         let g = line_graph(16);
         let pyramid = PyramidIndex::build(&g, 4, 64);
-        let (counts, resampled) = incremental_spatial_gibbs(&g, &pyramid, &[15], &cfg(200));
+        let (counts, resampled) = resample(&g, &pyramid, &[15], &cfg(200));
         // The far end (v15, neighbour v14) is affected; v1 is not.
         assert!(resampled.contains(&15));
         assert!(resampled.contains(&14));
@@ -216,7 +214,13 @@ mod tests {
             ..Default::default()
         };
         let full = spatial_gibbs(&g, &pyramid, &full_cfg);
-        let (inc, resampled) = incremental_spatial_gibbs(&g, &pyramid, &[7], &full_cfg);
+        // Warm-start from the full run's argmax, as every caller does:
+        // the restricted sweep conditions on the frozen surroundings.
+        let init: Vec<u32> = (0..g.num_variables() as VarId)
+            .map(|v| u32::from(full.factual_score(v) >= 0.5))
+            .collect();
+        let (inc, resampled) =
+            incremental_spatial_gibbs(&g, &pyramid, &[7], &full_cfg, Some(&init), &Obs::disabled());
         assert!(resampled.contains(&6));
         let diff = (full.factual_score(6) - inc.factual_score(6)).abs();
         assert!(diff < 0.1, "incremental {} vs full {}", inc.factual_score(6), full.factual_score(6));
@@ -226,8 +230,8 @@ mod tests {
     fn changed_set_grows_the_affected_region() {
         let g = line_graph(16);
         let pyramid = PyramidIndex::build(&g, 4, 64);
-        let (_, few) = incremental_spatial_gibbs(&g, &pyramid, &[8], &cfg(50));
-        let (_, many) = incremental_spatial_gibbs(&g, &pyramid, &[2, 8, 14], &cfg(50));
+        let (_, few) = resample(&g, &pyramid, &[8], &cfg(50));
+        let (_, many) = resample(&g, &pyramid, &[2, 8, 14], &cfg(50));
         assert!(many.len() >= few.len());
     }
 
@@ -237,7 +241,7 @@ mod tests {
         let pyramid = PyramidIndex::build(&g, 4, 64);
         let obs = Obs::enabled();
         let (_, resampled) =
-            incremental_spatial_gibbs_observed(&g, &pyramid, &[15], &cfg(50), &obs);
+            incremental_spatial_gibbs(&g, &pyramid, &[15], &cfg(50), None, &obs);
         let m = obs.metrics().unwrap();
         assert_eq!(
             m.counter_value("infer.incremental.resampled_vars"),
@@ -252,7 +256,7 @@ mod tests {
     fn empty_change_set_samples_nothing() {
         let g = line_graph(8);
         let pyramid = PyramidIndex::build(&g, 3, 64);
-        let (counts, resampled) = incremental_spatial_gibbs(&g, &pyramid, &[], &cfg(50));
+        let (counts, resampled) = resample(&g, &pyramid, &[], &cfg(50));
         assert!(resampled.is_empty());
         for v in g.query_variables() {
             assert_eq!(counts.total_samples(v), 0);

@@ -12,12 +12,21 @@
 //!   cells, and the minimum conclique cover of the non-empty cells;
 //! * [`gibbs`] — the baselines: DeepDive's sequential Gibbs sampler and
 //!   the random-partition parallel Gibbs the paper argues against;
+//! * [`shard_sweep`] — the one Spatial Gibbs sweep kernel: a phase
+//!   schedule (levels serially, concliques serially) and a chain that
+//!   samples the variables it owns against the assignment board frozen
+//!   at each phase start, drawing from per-`(seed, epoch, variable)`
+//!   streams — so the counts are bit-identical for any split across
+//!   worker threads or shards. Same-phase neighbours update from each
+//!   other's phase-start values, the kernel's one known approximation
+//!   (measured in the module doc);
 //! * [`spatial_gibbs`](mod@spatial_gibbs) — **Spatial Gibbs Sampling** (Algorithm 1):
-//!   `K` parallel inference instances, each sweeping pyramid levels
-//!   serially, concliques serially, and cells within a conclique in
-//!   parallel, with per-epoch count averaging;
+//!   `K` parallel inference instances, each a one-shard chain of the
+//!   kernel whose phases split across worker threads, with counts
+//!   averaged over instances;
 //! * [`incremental`] — incremental inference: after evidence updates,
-//!   only the concliques of affected variables are re-sampled;
+//!   the same kernel re-samples only the concliques of affected
+//!   variables, warm-started from the current state;
 //! * [`marginals`] — sample counters, marginal extraction, and the KL
 //!   divergence metric of Fig. 14;
 //! * [`run`] — governed execution: every sampler has a `*_with` variant
@@ -43,10 +52,7 @@ pub use gibbs::{
     parallel_random_gibbs, parallel_random_gibbs_ckpt, parallel_random_gibbs_with,
     sequential_gibbs, sequential_gibbs_ckpt, sequential_gibbs_with,
 };
-pub use incremental::{
-    incremental_sequential_gibbs, incremental_spatial_gibbs, incremental_spatial_gibbs_observed,
-    incremental_spatial_gibbs_warm,
-};
+pub use incremental::{incremental_sequential_gibbs, incremental_spatial_gibbs};
 pub use learn::{learn_weights, map_assignment, pseudo_log_likelihood, LearnConfig};
 pub use marginals::{average_kl_divergence, MarginalCounts};
 pub use pyramid::{CellKey, PyramidIndex};

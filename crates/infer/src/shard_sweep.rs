@@ -1,56 +1,64 @@
-//! Shard-aware Spatial Gibbs machinery (the `sya-shard` execution
-//! layer's sampler entry point).
+//! The Spatial Gibbs sweep kernel: the one code path that samples a
+//! phase of Algorithm 1, for in-process, incremental, lazy-query,
+//! delta, sharded and cluster runs alike.
 //!
-//! A sharded run partitions the variables into `N` ownership classes
-//! and runs one [`ShardChain`] per shard, all sharing a lock-free
-//! **board** of current variable states (`Vec<AtomicU32>`). From a
-//! shard's point of view the board holds its *owned* variables plus the
-//! read-only *halo* replicas of every neighbour it conditions on — the
-//! halo-aware conditional simply reads neighbour states through the
-//! board.
+//! An epoch follows a global *phase schedule* ([`ShardSchedule`]): one
+//! phase per `(level, conclique)` of the minimum cover, levels serially
+//! and concliques serially, plus one trailing phase for unlocated
+//! variables. A [`ShardChain`] owns a set of variables and, per phase,
+//! samples the ones it owns against a shared assignment **board**
+//! (`Vec<AtomicU32>`):
 //!
-//! The sweep is organised so that the merged result is **bit-identical
-//! for every shard count**, which is what lets `sya run --shards 4` be
-//! compared against `--shards 1` at machine precision:
+//! * **frozen board per phase** — every conditional of a phase reads the
+//!   board as it stood at the phase start; the chain buffers its writes
+//!   and [`publish`](ShardChain::publish) lands them after the phase.
+//!   Who computes a conditional, and in which order, therefore cannot
+//!   change its value;
+//! * **per-variable streams** — every draw uses an RNG stream derived
+//!   from `(seed, epoch, variable)` ([`var_epoch_rng`]), so the random
+//!   numbers a variable consumes do not depend on which chain, shard or
+//!   worker thread draws it.
 //!
-//! * the epoch is divided into a global *phase schedule*
-//!   ([`ShardSchedule`]) — one phase per `(level, conclique)` of the
-//!   minimum cover, plus one phase for unlocated variables — identical
-//!   for every shard regardless of ownership;
-//! * within a phase each shard samples only the variables it owns,
-//!   *reading* the board but *buffering* its writes; the executor
-//!   publishes all writes at a phase barrier (halo exchange). Every
-//!   conditional therefore sees exactly the state frozen at the start
-//!   of the phase, no matter which shard computes it;
-//! * every draw uses an RNG stream derived from `(seed, epoch,
-//!   variable)`, so the random numbers a variable consumes do not
-//!   depend on which shard owns it or on sweep order within the phase.
+//! Together these make the counts bit-identical for any split of the
+//! variables: in-process Spatial Gibbs is the one-shard case (one chain
+//! owning every variable, a phase optionally split over worker
+//! threads), the sharded executor and the cluster run one chain per
+//! shard, and for one seed a one-instance in-process run equals the
+//! sharded run at any shard and worker count.
 //!
-//! Within a conclique phase, cells share no spatial factor by
-//! construction, so the frozen-board (Jacobi-style) update inside a
-//! phase coincides with the sequential update except across residual
-//! same-conclique *logical* couplings — the same couplings the
-//! non-sharded sampler already races on through relaxed atomics.
+//! **Known approximation.** A phase is not an exact independent set of
+//! the factor graph. Cells of one conclique are never 8-neighbours, but
+//! a spatial factor whose radius spans more than a cell can still join
+//! two of them, variables of one cell share spatial factors, and
+//! logical factors ignore the pyramid altogether. Such same-phase pairs
+//! update from each other's phase-start values (Jacobi-style) rather
+//! than sequentially. On the 2,000-well GWDB benchmark graph at
+//! `L = 8`, 1,201 of the 5,228 free–free variable pairs that share a
+//! factor fall in one phase: 235 share a logical factor and 1,063 a
+//! spatial one (97 both; all but 19 of the spatial pairs span two
+//! cells). The marginals stay within the exact-enumeration tolerances
+//! the tests gate.
 
 use crate::ckpt::ChainState;
 use crate::conclique::min_conclique_cover;
 use crate::gibbs::{sample_conditional, telemetry_indicator};
 use crate::marginals::MarginalCounts;
-use crate::pyramid::PyramidIndex;
+use crate::pyramid::{CellKey, PyramidIndex};
 use crate::spatial_gibbs::InferConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, Ordering};
 use sya_fg::{FactorGraph, VarId};
-use sya_obs::ConvergenceSeries;
+use sya_obs::{ConvergenceSeries, EpochTelemetry};
 
 /// Tag mixed into the per-variable stream that draws initial values, so
 /// the init draw never collides with an epoch stream.
 const INIT_EPOCH_TAG: u64 = u64::MAX;
 
 /// The derived RNG stream for one `(seed, epoch, variable)` draw. Owner
-/// independence of the sharded sweep rests on this: any shard sampling
-/// `v` at `epoch` consumes the same stream.
+/// independence of the sweep rests on this: any chain or worker
+/// sampling `v` at `epoch` consumes the same stream.
 #[inline]
 pub fn var_epoch_rng(seed: u64, epoch: u64, v: VarId) -> StdRng {
     StdRng::seed_from_u64(
@@ -60,16 +68,18 @@ pub fn var_epoch_rng(seed: u64, epoch: u64, v: VarId) -> StdRng {
 }
 
 /// The shared assignment board: evidence clamped, free variables at a
-/// per-variable derived draw (identical for every shard count).
-pub fn init_board(graph: &FactorGraph, seed: u64) -> Vec<AtomicU32> {
+/// per-variable derived draw (identical for every shard count) — or, with
+/// `warm`, at its value (clamped in case the domain shrank since).
+pub fn init_board(graph: &FactorGraph, seed: u64, warm: Option<&[u32]>) -> Vec<AtomicU32> {
     graph
         .variables()
         .iter()
         .map(|v| {
-            AtomicU32::new(match v.evidence {
-                Some(e) => e,
-                None => var_epoch_rng(seed, INIT_EPOCH_TAG, v.id)
-                    .gen_range(0..v.domain.cardinality()),
+            let card = v.domain.cardinality();
+            AtomicU32::new(match (v.evidence, warm) {
+                (Some(e), _) => e,
+                (None, Some(w)) => w.get(v.id as usize).map_or(0, |&x| x.min(card - 1)),
+                (None, None) => var_epoch_rng(seed, INIT_EPOCH_TAG, v.id).gen_range(0..card),
             })
         })
         .collect()
@@ -78,54 +88,57 @@ pub fn init_board(graph: &FactorGraph, seed: u64) -> Vec<AtomicU32> {
 /// One phase of the global epoch schedule.
 #[derive(Debug, Clone)]
 pub struct SweepPhase {
-    /// Pyramid level, or `None` for the unlocated-variable phase.
-    pub level: Option<u8>,
-    /// Conclique of the minimum cover (`None` for unlocated).
+    /// Conclique of the minimum cover (`None` for unlocated variables).
     pub conclique: Option<u8>,
     /// Free variables the phase sweeps, in canonical (cell, index)
-    /// order. Every free variable of the graph appears in at least one
-    /// phase.
+    /// order.
     pub vars: Vec<VarId>,
 }
 
-/// The global phase schedule of one epoch — identical for every shard,
-/// so all shards cross the same barriers in the same order.
+/// The global phase schedule of one epoch — identical for every chain,
+/// so all chains cross the same barriers in the same order.
 #[derive(Debug, Clone)]
 pub struct ShardSchedule {
     pub phases: Vec<SweepPhase>,
 }
 
 impl ShardSchedule {
-    /// Builds the schedule the non-sharded sampler's sweep implies:
-    /// levels serially, concliques of the minimum cover serially, then
-    /// the unlocated variables.
-    pub fn new(graph: &FactorGraph, pyramid: &PyramidIndex, cfg: &InferConfig) -> Self {
+    /// The sweep Algorithm 1 implies: levels serially, concliques of the
+    /// minimum cover serially, then the unlocated variables — every free
+    /// variable of the graph is in at least one phase. With `region`
+    /// (incremental inference) only the free variables of those cells
+    /// are swept, and there is no unlocated phase.
+    pub fn new(
+        graph: &FactorGraph,
+        pyramid: &PyramidIndex,
+        cfg: &InferConfig,
+        region: Option<&HashSet<CellKey>>,
+    ) -> Self {
         let mut phases = Vec::new();
         for level in cfg.active_sweep_levels(pyramid.levels()) {
-            let cover = min_conclique_cover(&pyramid.sampling_cells(level));
-            for (conclique, cells) in cover {
+            let mut cells = pyramid.sampling_cells(level);
+            if let Some(region) = region {
+                cells.retain(|c| region.contains(c));
+            }
+            for (conclique, cells) in min_conclique_cover(&cells) {
                 let vars: Vec<VarId> = cells
                     .iter()
                     .flat_map(|c| pyramid.atoms_in(c).iter().copied())
                     .filter(|&v| !graph.variable(v).is_evidence())
                     .collect();
                 if !vars.is_empty() {
-                    phases.push(SweepPhase {
-                        level: Some(level),
-                        conclique: Some(conclique.0),
-                        vars,
-                    });
+                    phases.push(SweepPhase { conclique: Some(conclique.0), vars });
                 }
             }
         }
         let unlocated: Vec<VarId> = graph
             .variables()
             .iter()
-            .filter(|v| v.location.is_none() && !v.is_evidence())
+            .filter(|v| region.is_none() && v.location.is_none() && !v.is_evidence())
             .map(|v| v.id)
             .collect();
         if !unlocated.is_empty() {
-            phases.push(SweepPhase { level: None, conclique: None, vars: unlocated });
+            phases.push(SweepPhase { conclique: None, vars: unlocated });
         }
         ShardSchedule { phases }
     }
@@ -137,17 +150,28 @@ impl ShardSchedule {
     pub fn is_empty(&self) -> bool {
         self.phases.is_empty()
     }
+
+    /// Every variable some phase samples, sorted and deduplicated.
+    pub fn vars(&self) -> Vec<VarId> {
+        let mut vars: Vec<VarId> =
+            self.phases.iter().flat_map(|p| p.vars.iter().copied()).collect();
+        vars.sort_unstable();
+        vars.dedup();
+        vars
+    }
 }
 
-/// One shard's sampler state: its slice of each phase, its counts, and
+/// One chain's sampler state: its slice of each phase, its counts, and
 /// its convergence trajectory over owned variables.
 pub struct ShardChain<'g> {
     graph: &'g FactorGraph,
     seed: u64,
-    /// All variables this shard owns (evidence included), sorted.
+    /// All variables this chain owns (evidence included), sorted.
     owned: Vec<VarId>,
     /// Owned free variables per schedule phase, in schedule order.
     phase_vars: Vec<Vec<VarId>>,
+    /// Conclique of each schedule phase, for the per-conclique credit.
+    phase_conclique: Vec<Option<u8>>,
     /// Owned evidence variables with their clamped values.
     evidence_owned: Vec<(VarId, u32)>,
     /// Buffered writes of the current phase, published at the barrier.
@@ -162,17 +186,14 @@ pub struct ShardChain<'g> {
     /// [`snapshot_boundary`](Self::snapshot_boundary); the drift since
     /// then is the retirement staleness signal.
     boundary_ref: Vec<f64>,
-    // Convergence tracking over owned variables.
-    ones: Vec<u64>,
-    prev_p: Vec<f64>,
-    epochs_seen: u64,
-    series: ConvergenceSeries,
+    /// Convergence tracking over owned variables.
+    telemetry: EpochTelemetry,
     epoch_flips: u64,
     epoch_samples: u64,
 }
 
 impl<'g> ShardChain<'g> {
-    /// `owned` must be the shard's full ownership class (evidence
+    /// `owned` must be the chain's full ownership class (evidence
     /// included); it is sorted and deduplicated here.
     pub fn new(
         graph: &'g FactorGraph,
@@ -195,38 +216,31 @@ impl<'g> ShardChain<'g> {
             .iter()
             .filter_map(|&v| graph.variable(v).evidence.map(|e| (v, e)))
             .collect();
-        let n_owned = owned.len();
         ShardChain {
             graph,
             seed: cfg.seed,
+            telemetry: EpochTelemetry::new(owned.len()),
             owned,
             phase_vars,
+            phase_conclique: schedule.phases.iter().map(|p| p.conclique).collect(),
             evidence_owned,
             writes: Vec::new(),
             counts: MarginalCounts::new(graph),
             recorded: false,
             boundary: Vec::new(),
             boundary_ref: Vec::new(),
-            ones: vec![0; n_owned],
-            prev_p: vec![0.0; n_owned],
-            epochs_seen: 0,
-            series: ConvergenceSeries::default(),
             epoch_flips: 0,
             epoch_samples: 0,
         }
-    }
-
-    pub fn owned(&self) -> &[VarId] {
-        &self.owned
     }
 
     pub fn owned_vars(&self) -> usize {
         self.owned.len()
     }
 
-    /// Free variables this shard samples in `phase`.
-    pub fn phase_len(&self, phase: usize) -> usize {
-        self.phase_vars.get(phase).map_or(0, Vec::len)
+    /// The free variables this chain samples in `phase`.
+    pub fn phase_vars(&self, phase: usize) -> &[VarId] {
+        &self.phase_vars[phase]
     }
 
     /// The writes buffered by the current phase, in sample order — what
@@ -254,50 +268,64 @@ impl<'g> ShardChain<'g> {
     /// start of a retirement quiet streak; the drift reported by
     /// [`boundary_delta`](Self::boundary_delta) is measured from here.
     pub fn snapshot_boundary(&mut self) {
-        self.boundary_ref = self.boundary.iter().map(|&i| self.prev_p[i]).collect();
+        let p = self.telemetry.running_marginals();
+        self.boundary_ref = self.boundary.iter().map(|&i| p[i]).collect();
     }
 
     /// `max |p_now − p_snapshot|` over boundary-exposed variables — how
     /// much the values the *neighbour* shards condition on have drifted
     /// since the snapshot. `0.0` with no boundary or no snapshot.
     pub fn boundary_delta(&self) -> f64 {
+        let p = self.telemetry.running_marginals();
         self.boundary
             .iter()
             .zip(&self.boundary_ref)
-            .map(|(&i, &p0)| (self.prev_p[i] - p0).abs())
+            .map(|(&i, &p0)| (p[i] - p0).abs())
             .fold(0.0, f64::max)
     }
 
-    /// Samples the shard's variables of one phase against the frozen
+    /// Draws `vars` (part of this chain's phase) at `epoch` against the
+    /// frozen board, appending `(var, value)` to `out`. Touches no chain
+    /// state, so worker threads may draw disjoint parts concurrently.
+    pub fn draw(
+        &self,
+        board: &[AtomicU32],
+        vars: &[VarId],
+        epoch: usize,
+        out: &mut Vec<(VarId, u32)>,
+    ) {
+        let src = |u: VarId| board[u as usize].load(Ordering::Relaxed);
+        for &v in vars {
+            let mut rng = var_epoch_rng(self.seed, epoch as u64, v);
+            out.push((v, sample_conditional(self.graph, &src, v, &mut rng)));
+        }
+    }
+
+    /// Samples the chain's variables of one phase against the frozen
     /// board, buffering the writes. The executor must call
     /// [`publish`](Self::publish) after the phase barrier.
-    pub fn sample_phase(
-        &mut self,
-        board: &[AtomicU32],
-        schedule: &ShardSchedule,
-        phase: usize,
-        epoch: usize,
-        record: bool,
-    ) {
+    pub fn sample_phase(&mut self, board: &[AtomicU32], phase: usize, epoch: usize, record: bool) {
         let prof = sya_obs::profile::start();
-        let graph = self.graph;
-        let src = |u: VarId| board[u as usize].load(Ordering::Relaxed);
-        let conclique = schedule.phases[phase].conclique;
-        for &v in &self.phase_vars[phase] {
-            let mut rng = var_epoch_rng(self.seed, epoch as u64, v);
-            let x = sample_conditional(graph, &src, v, &mut rng);
-            self.writes.push((v, x));
-            self.epoch_samples += 1;
-            if record {
+        let mut writes = std::mem::take(&mut self.writes);
+        self.draw(board, &self.phase_vars[phase], epoch, &mut writes);
+        self.accept(phase, writes, record);
+        sya_obs::profile::stop(sya_obs::profile::Site::ConcliqueSweep, prof);
+    }
+
+    /// Buffers a phase's drawn writes (from [`draw`](Self::draw), in any
+    /// order) for [`publish`](Self::publish) and records them.
+    pub fn accept(&mut self, phase: usize, writes: Vec<(VarId, u32)>, record: bool) {
+        if record {
+            for &(v, x) in &writes {
                 self.counts.record(v, x);
             }
         }
-        if let Some(c) = conclique {
-            if let Some(slot) = self.series.conclique_samples.get_mut(c as usize) {
-                *slot += self.writes.len() as u64;
-            }
+        let n = writes.len() as u64;
+        self.epoch_samples += n;
+        if let Some(c) = self.phase_conclique[phase] {
+            self.telemetry.add_conclique_samples(c as usize, n);
         }
-        sya_obs::profile::stop(sya_obs::profile::Site::ConcliqueSweep, prof);
+        self.writes = writes;
     }
 
     /// Publishes the buffered phase writes to the board (the halo
@@ -318,14 +346,15 @@ impl<'g> ShardChain<'g> {
     /// the one in flight) — what the cluster worker ships per epoch in
     /// its `Telemetry` frame.
     pub fn progress(&self) -> (u64, u64) {
+        let series = self.telemetry.series();
         (
-            self.series.samples_total + self.epoch_samples,
-            self.series.flips_total + self.epoch_flips,
+            series.samples_total + self.epoch_samples,
+            series.flips_total + self.epoch_flips,
         )
     }
 
     /// Closes an epoch: records owned evidence rows, folds the board
-    /// into the shard's running marginals, and returns the epoch's
+    /// into the chain's running marginals, and returns the epoch's
     /// `max |p_t − p_{t−1}|` over owned variables (the retirement
     /// signal).
     pub fn end_epoch(&mut self, board: &[AtomicU32], record: bool) -> f64 {
@@ -335,36 +364,25 @@ impl<'g> ShardChain<'g> {
                 self.counts.record(v, e);
             }
         }
-        self.epochs_seen += 1;
-        self.series.epochs = self.epochs_seen as usize;
-        self.series.flips_total += self.epoch_flips;
-        self.series.samples_total += self.epoch_samples;
-        self.series
-            .flip_rate
-            .push(self.epoch_flips as f64 / self.epoch_samples.max(1) as f64);
+        let (flips, samples) = (self.epoch_flips, self.epoch_samples);
         self.epoch_flips = 0;
         self.epoch_samples = 0;
-        let t = self.epochs_seen as f64;
-        let mut delta: f64 = 0.0;
-        for (i, &v) in self.owned.iter().enumerate() {
-            if telemetry_indicator(board[v as usize].load(Ordering::Relaxed)) {
-                self.ones[i] += 1;
-            }
-            let p = self.ones[i] as f64 / t;
-            delta = delta.max((p - self.prev_p[i]).abs());
-            self.prev_p[i] = p;
-        }
-        self.series.marginal_delta.push(delta);
-        delta
+        self.telemetry.end_epoch(
+            flips,
+            samples,
+            self.owned
+                .iter()
+                .map(|&v| telemetry_indicator(board[v as usize].load(Ordering::Relaxed))),
+        )
     }
 
     /// Records a pseudo-log-likelihood observation (the executor samples
-    /// it on one shard over the full board).
+    /// it on one chain over the full board).
     pub fn record_pll(&mut self, epoch: usize, value: f64) {
-        self.series.pll.push((epoch as f64, value));
+        self.telemetry.record_pll(epoch, value);
     }
 
-    /// Packages the shard's durable state at the barrier entering
+    /// Packages the chain's durable state at the barrier entering
     /// `next_epoch`. The assignment is the full board snapshot (shards
     /// run in lockstep, so all shards of a set persist the same board);
     /// the RNG words are placeholders — every stream is derived from
@@ -405,7 +423,7 @@ impl<'g> ShardChain<'g> {
 
     /// Consumes the chain into its counts and convergence series.
     pub fn finish(self) -> (MarginalCounts, ConvergenceSeries) {
-        (self.counts, self.series)
+        (self.counts, self.telemetry.finish())
     }
 }
 
@@ -455,23 +473,23 @@ mod tests {
         let mut g = grid(4);
         g.add_variable(Variable::binary(0, "floating"));
         let pyramid = PyramidIndex::build(&g, 2, 64);
-        let schedule = ShardSchedule::new(&g, &pyramid, &cfg());
+        let schedule = ShardSchedule::new(&g, &pyramid, &cfg(), None);
         let mut seen: Vec<VarId> = schedule.phases.iter().flat_map(|p| p.vars.clone()).collect();
         seen.sort_unstable();
         let free: Vec<VarId> = g.query_variables();
         assert_eq!(seen, free);
         // The unlocated phase is last and has no conclique.
         let last = schedule.phases.last().unwrap();
-        assert_eq!(last.level, None);
+        assert_eq!(last.conclique, None);
         assert!(last.vars.contains(&16));
     }
 
     #[test]
     fn init_board_is_seed_deterministic_and_clamps_evidence() {
         let g = grid(3);
-        let a = init_board(&g, 7);
-        let b = init_board(&g, 7);
-        let other = init_board(&g, 8);
+        let a = init_board(&g, 7, None);
+        let b = init_board(&g, 7, None);
+        let other = init_board(&g, 8, None);
         assert_eq!(a[0].load(Ordering::Relaxed), 1, "evidence clamped");
         let av: Vec<u32> = a.iter().map(|x| x.load(Ordering::Relaxed)).collect();
         let bv: Vec<u32> = b.iter().map(|x| x.load(Ordering::Relaxed)).collect();
@@ -487,12 +505,12 @@ mod tests {
         let g = grid(4);
         let pyramid = PyramidIndex::build(&g, 2, 64);
         let cfg = cfg();
-        let schedule = ShardSchedule::new(&g, &pyramid, &cfg);
+        let schedule = ShardSchedule::new(&g, &pyramid, &cfg, None);
         let epochs = 40;
         let burn = 5;
 
         let run = |ownerships: Vec<Vec<VarId>>| -> MarginalCounts {
-            let board = init_board(&g, cfg.seed);
+            let board = init_board(&g, cfg.seed, None);
             let mut chains: Vec<ShardChain> = ownerships
                 .into_iter()
                 .map(|o| ShardChain::new(&g, &schedule, &cfg, o))
@@ -501,7 +519,7 @@ mod tests {
                 let record = epoch >= burn;
                 for phase in 0..schedule.len() {
                     for chain in &mut chains {
-                        chain.sample_phase(&board, &schedule, phase, epoch, record);
+                        chain.sample_phase(&board, phase, epoch, record);
                     }
                     for chain in &mut chains {
                         chain.publish(&board);
@@ -555,8 +573,8 @@ mod tests {
         }
         let pyramid = PyramidIndex::build(&g, 2, 64);
         let cfg = cfg();
-        let schedule = ShardSchedule::new(&g, &pyramid, &cfg);
-        let board = init_board(&g, cfg.seed);
+        let schedule = ShardSchedule::new(&g, &pyramid, &cfg, None);
+        let board = init_board(&g, cfg.seed, None);
         let all: Vec<VarId> = (0..g.num_variables() as VarId).collect();
         let mut chain = ShardChain::new(&g, &schedule, &cfg, all);
         // Variables 1 and 4 are boundary-exposed; 99 is foreign and ignored.
@@ -564,7 +582,7 @@ mod tests {
         assert_eq!(chain.boundary_delta(), 0.0, "no snapshot yet");
         for epoch in 0..5 {
             for phase in 0..schedule.len() {
-                chain.sample_phase(&board, &schedule, phase, epoch, true);
+                chain.sample_phase(&board, phase, epoch, true);
                 assert!(epoch > 0 || phase > 0 || !chain.pending_writes().is_empty());
                 chain.publish(&board);
             }
@@ -585,15 +603,15 @@ mod tests {
         let g = grid(3);
         let pyramid = PyramidIndex::build(&g, 2, 64);
         let cfg = cfg();
-        let schedule = ShardSchedule::new(&g, &pyramid, &cfg);
-        let board = init_board(&g, cfg.seed);
+        let schedule = ShardSchedule::new(&g, &pyramid, &cfg, None);
+        let board = init_board(&g, cfg.seed, None);
         let all: Vec<VarId> = (0..g.num_variables() as VarId).collect();
         let mut chain = ShardChain::new(&g, &schedule, &cfg, all);
         let mut first = 0.0;
         let mut last = 0.0;
         for epoch in 0..100 {
             for phase in 0..schedule.len() {
-                chain.sample_phase(&board, &schedule, phase, epoch, true);
+                chain.sample_phase(&board, phase, epoch, true);
                 chain.publish(&board);
             }
             let d = chain.end_epoch(&board, true);

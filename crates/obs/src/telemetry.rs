@@ -144,13 +144,14 @@ impl EpochTelemetry {
     }
 
     /// Close an epoch: record its flip rate and fold the current
-    /// assignment (as indicators) into the running marginals.
+    /// assignment (as indicators) into the running marginals. Returns
+    /// the epoch's marginal delta.
     pub fn end_epoch(
         &mut self,
         flips: u64,
         samples: u64,
         indicators: impl Iterator<Item = bool>,
-    ) {
+    ) -> f64 {
         self.epochs_seen += 1;
         self.series.epochs = self.epochs_seen as usize;
         self.series.flips_total += flips;
@@ -171,6 +172,18 @@ impl EpochTelemetry {
             self.prev_p[v] = p;
         }
         self.series.marginal_delta.push(delta);
+        delta
+    }
+
+    /// Running marginal estimate of every tracked variable, in the
+    /// order the indicators are supplied.
+    pub fn running_marginals(&self) -> &[f64] {
+        &self.prev_p
+    }
+
+    /// The trajectory so far (closed epochs only).
+    pub fn series(&self) -> &ConvergenceSeries {
+        &self.series
     }
 
     /// Record a pseudo-log-likelihood observation for `epoch`.
@@ -200,7 +213,9 @@ mod tests {
         // Epoch 1: both vars at 1 → p = [1, 1], delta 1.0.
         t.end_epoch(2, 4, [true, true].into_iter());
         // Epoch 2: var 1 drops to 0 → p = [1, 0.5], delta 0.5.
-        t.end_epoch(1, 4, [true, false].into_iter());
+        assert_eq!(t.end_epoch(1, 4, [true, false].into_iter()), 0.5);
+        assert_eq!(t.running_marginals(), &[1.0, 0.5]);
+        assert_eq!(t.series().samples_total, 8);
         let s = t.finish();
         assert_eq!(s.epochs, 2);
         assert_eq!(s.flip_rate, vec![0.5, 0.25]);

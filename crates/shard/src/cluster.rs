@@ -507,7 +507,7 @@ pub fn run_worker(
     let _ = stream.set_nodelay(true);
 
     let pyramid = PyramidIndex::build(graph, cfg.levels, cfg.cell_capacity);
-    let schedule = ShardSchedule::new(graph, &pyramid, cfg);
+    let schedule = ShardSchedule::new(graph, &pyramid, cfg, None);
 
     let mut advertise = opts.resume;
     loop {
@@ -636,7 +636,7 @@ fn run_epochs(
         chain.resume_counts(counts, recorded);
         assignment.into_iter().map(AtomicU32::new).collect()
     } else {
-        init_board(graph, cfg.seed)
+        init_board(graph, cfg.seed, None)
     };
     if opts.retire.is_some() {
         let exposed: Vec<u32> = (0..n)
@@ -665,7 +665,7 @@ fn run_epochs(
         let active = retired_at.is_none();
         for phase in 0..schedule.len() {
             if active {
-                chain.sample_phase(&board, schedule, phase, epoch, record);
+                chain.sample_phase(&board, phase, epoch, record);
             }
             if phase == 0 {
                 if let Some(pause) = ctx.take_worker_stall(me, epoch) {

@@ -367,7 +367,7 @@ pub fn run_sharded(
     let mut warnings = Vec::new();
     let (stores, resume) = prepare_shard_ckpt(graph, plan, ckpt, &mut warnings)?;
 
-    let schedule = ShardSchedule::new(graph, pyramid, cfg);
+    let schedule = ShardSchedule::new(graph, pyramid, cfg, None);
     obs.gauge_set("shard.phases", schedule.len() as f64);
 
     let (start_epoch, board, resumed_chains) = match resume {
@@ -388,7 +388,7 @@ pub fn run_sharded(
             warnings.push(format!("resumed all {n} shards from epoch {epoch}"));
             (epoch, board.unwrap(), restored)
         }
-        None => (0, init_board(graph, cfg.seed), (0..n).map(|_| None).collect()),
+        None => (0, init_board(graph, cfg.seed, None), (0..n).map(|_| None).collect()),
     };
 
     let mut chains: Vec<ShardChain> = plan
@@ -476,7 +476,7 @@ pub fn run_sharded(
                     let active = retired_at.is_none();
                     for phase in 0..schedule.len() {
                         if active {
-                            chain.sample_phase(board, schedule, phase, epoch, record);
+                            chain.sample_phase(board, phase, epoch, record);
                         }
                         barrier.wait();
                         if active {

@@ -6,10 +6,13 @@
 //! 1. **Bitwise**: `run_sharded` at any shard count reproduces the
 //!    1-shard counts exactly — the determinism the `--shards` flag
 //!    advertises.
-//! 2. **Statistical**: sharded marginals land within tolerance of the
-//!    classic single-instance `spatial_gibbs` sampler — the sharded
-//!    construction estimates the same distribution, not just a
-//!    self-consistent one.
+//! 2. **Statistical**: sharded marginals land within tolerance of exact
+//!    enumeration — the sharded construction estimates the model's
+//!    distribution, not just a self-consistent one.
+//!
+//! Plus the one-kernel property: in-process `spatial_gibbs_with` is the
+//! one-shard case of the same sweep, bit-identical for any worker
+//! count.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -17,7 +20,7 @@ use rand::{Rng, SeedableRng};
 use sya_fg::{Factor, FactorGraph, FactorKind, SpatialFactor, VarId, Variable};
 use sya_geom::Point;
 use sya_ground::pyramid_cell_map;
-use sya_infer::{spatial_gibbs, InferConfig, PyramidIndex};
+use sya_infer::{spatial_gibbs_with, InferConfig, PyramidIndex};
 use sya_runtime::ExecContext;
 use sya_shard::{run_sharded, ShardCkptOptions, ShardPlan, ShardRunReport};
 
@@ -118,11 +121,33 @@ proptest! {
     }
 }
 
+/// Exact marginals `P(v = 1)` by enumerating every state of the free
+/// (binary) variables.
+fn exact_marginals(g: &FactorGraph) -> Vec<f64> {
+    let free = g.query_variables();
+    let mut state: Vec<u32> = g.variables().iter().map(|v| v.evidence.unwrap_or(0)).collect();
+    let mut mass = vec![0.0; g.num_variables()];
+    let mut z = 0.0;
+    for bits in 0..(1u32 << free.len()) {
+        for (i, &v) in free.iter().enumerate() {
+            state[v as usize] = (bits >> i) & 1;
+        }
+        let w = sya_fg::log_prob_unnormalized(g, &state).exp();
+        z += w;
+        for &v in &free {
+            if state[v as usize] == 1 {
+                mass[v as usize] += w;
+            }
+        }
+    }
+    mass.iter().map(|m| m / z).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn sharded_marginals_within_tolerance_of_classic_spatial_gibbs(
+    fn sharded_marginals_within_tolerance_of_exact_enumeration(
         seed in 0u64..10_000,
         n in 4usize..10,
         shards in prop::sample::select(vec![2usize, 3, 4]),
@@ -131,17 +156,88 @@ proptest! {
         let g = random_kb(seed, n);
         let cfg = infer_cfg(6000, seed ^ 0x5EED);
         let sharded = run(&g, &cfg, shards, level);
-        let pyramid = PyramidIndex::build(&g, cfg.levels, cfg.cell_capacity);
-        let classic = spatial_gibbs(&g, &pyramid, &cfg);
+        let exact = exact_marginals(&g);
         let max_delta = g
             .query_variables()
             .into_iter()
-            .map(|v| (sharded.counts.factual_score(v) - classic.factual_score(v)).abs())
+            .map(|v| (sharded.counts.factual_score(v) - exact[v as usize]).abs())
             .fold(0.0, f64::max);
         prop_assert!(
             max_delta < 0.15,
-            "shards={} level={} seed={}: max marginal delta {} vs classic sampler",
+            "shards={} level={} seed={}: max marginal delta {} vs exact enumeration",
             shards, level, seed, max_delta
+        );
+    }
+}
+
+/// A 4×4 spatial grid with evidence in one corner plus logical
+/// couplings that cross conclique cells.
+fn coupled_grid() -> FactorGraph {
+    let n = 4;
+    let mut g = FactorGraph::new();
+    for r in 0..n {
+        for c in 0..n {
+            let mut v = Variable::binary(0, format!("v{r}_{c}"))
+                .at(Point::new(c as f64 + 0.5, r as f64 + 0.5));
+            if r == 0 && c == 0 {
+                v = v.with_evidence(1);
+            }
+            g.add_variable(v);
+        }
+    }
+    for r in 0..n {
+        for c in 0..n {
+            let i = (r * n + c) as VarId;
+            if c + 1 < n {
+                g.add_spatial_factor(SpatialFactor::binary(i, i + 1, 0.6));
+            }
+            if r + 1 < n {
+                g.add_spatial_factor(SpatialFactor::binary(i, i + n as VarId, 0.6));
+            }
+        }
+    }
+    for (a, b) in [(1, 9), (2, 10), (5, 13), (3, 15), (4, 6)] {
+        g.add_factor(Factor::new(FactorKind::Imply, vec![a, b], 0.7));
+    }
+    g
+}
+
+#[test]
+fn spatial_gibbs_is_bit_identical_for_any_worker_count_and_equals_the_sharded_run() {
+    let g = coupled_grid();
+    let cfg = InferConfig {
+        epochs: 400,
+        burn_in: 20,
+        instances: 4,
+        levels: 3,
+        locality_level: 3,
+        seed: 17,
+        ..Default::default()
+    };
+    let pyramid = PyramidIndex::build(&g, cfg.levels, cfg.cell_capacity);
+    let ctx = ExecContext::unbounded();
+    let counts_at = |cfg: &InferConfig, workers: usize| {
+        let cfg = InferConfig { workers: Some(workers), ..cfg.clone() };
+        spatial_gibbs_with(&g, &pyramid, &cfg, &ctx).unwrap().counts
+    };
+
+    let reference = counts_at(&cfg, 1);
+    for workers in [2, 4] {
+        assert_eq!(counts_at(&cfg, workers), reference, "K=4, workers={workers}");
+    }
+
+    // With one instance the in-process sampler is the sharded
+    // executor's one-shard case, at any worker and shard count.
+    let single = InferConfig { instances: 1, ..cfg };
+    let in_process = counts_at(&single, 1);
+    for workers in [2, 4] {
+        assert_eq!(counts_at(&single, workers), in_process, "K=1, workers={workers}");
+    }
+    for shards in [1, 2] {
+        assert_eq!(
+            run(&g, &single, shards, 1).counts,
+            in_process,
+            "spatial_gibbs_with must equal run_sharded at {shards} shard(s)"
         );
     }
 }

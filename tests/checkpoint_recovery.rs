@@ -178,8 +178,9 @@ fn parallel_resume_is_identical_to_uninterrupted() {
 #[test]
 fn spatial_resume_is_identical_to_uninterrupted() {
     let graph = grid_graph(36);
-    // `workers: 1` keeps the cell sweeps deterministic; two instances
-    // exercise the all-K checkpoint aggregation.
+    // Two instances exercise the all-K checkpoint aggregation; every
+    // leg runs at one and at two cell workers, and all must reproduce
+    // the one-worker uninterrupted reference.
     let cfg = InferConfig {
         epochs: 40,
         burn_in: 4,
@@ -193,8 +194,9 @@ fn spatial_resume_is_identical_to_uninterrupted() {
         spatial_gibbs_ckpt(&graph, &pyramid, &cfg, &ctx(), CheckpointOptions::none(), None)
             .unwrap();
 
-    for cancel_at in [2u64, 6] {
-        let dir = tmp_dir(&format!("spatial_{cancel_at}"));
+    for (workers, cancel_at) in [(1, 2u64), (1, 6), (2, 2), (2, 6)] {
+        let cfg = InferConfig { workers: Some(workers), ..cfg.clone() };
+        let dir = tmp_dir(&format!("spatial_{workers}_{cancel_at}"));
         let store = CheckpointStore::create(&dir, graph.fingerprint()).unwrap();
         let token = CancellationToken::new();
         let sink = CancelAt { store: &store, token: &token, at_epoch: cancel_at };
@@ -227,7 +229,7 @@ fn spatial_resume_is_identical_to_uninterrupted() {
         assert_eq!(
             resumed.counts.to_rows(),
             reference.counts.to_rows(),
-            "spatial resume after cancel at {cancel_at} diverged"
+            "spatial resume at {workers} worker(s) after cancel at {cancel_at} diverged"
         );
         fs::remove_dir_all(&dir).ok();
     }

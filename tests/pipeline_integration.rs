@@ -247,8 +247,10 @@ fn categorical_domains_run_end_to_end() {
 #[test]
 fn deterministic_given_seed() {
     let dataset = gwdb_dataset(&GwdbConfig { n_wells: 150, ..Default::default() });
-    let mut cfg = gwdb_config(true).with_epochs(100);
-    cfg.infer.instances = 1; // single instance: fully deterministic
+    // Default K = 4 instances and cell workers: every draw comes from a
+    // per-(seed, epoch, variable) stream, so the scores are
+    // bit-identical whatever the threads do.
+    let cfg = gwdb_config(true).with_epochs(100);
     let a = build(&dataset, cfg.clone());
     let b = build(&dataset, cfg);
     assert_eq!(a.query_scores_by_id("IsSafe"), b.query_scores_by_id("IsSafe"));
