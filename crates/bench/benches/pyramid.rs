@@ -50,7 +50,7 @@ fn bench_pyramid(c: &mut Criterion) {
                         pyramid,
                         changed,
                         cfg,
-                        None,
+                        &kb.counts,
                         &sya_obs::Obs::disabled(),
                     ))
                 })

@@ -573,7 +573,7 @@ fn fig13(scale: Scale) {
             pyramid,
             &changed,
             &kb.config.infer,
-            None,
+            &kb.counts,
             &sya_obs::Obs::disabled(),
         );
         let sya_ms = t0.elapsed().as_secs_f64() * 1e3;

@@ -17,8 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use sya_fg::{FactorGraph, SpatialFactor, Variable};
-use sya_geom::Point;
+use sya_fg::FactorGraph;
 use sya_infer::{
     parallel_random_gibbs_with, sequential_gibbs_with, spatial_gibbs_with, InferConfig,
     PyramidIndex,
@@ -73,35 +72,6 @@ fn main() {
     }
 }
 
-/// A spatial grid graph (4-neighbour spatial factors, one evidence
-/// corner) — the same synthetic workload the sampler correctness tests
-/// use, scaled up.
-fn grid_graph(n: usize) -> FactorGraph {
-    let mut g = FactorGraph::new();
-    let mut ids = Vec::new();
-    for r in 0..n {
-        for c in 0..n {
-            let p = Point::new(c as f64 + 0.5, r as f64 + 0.5);
-            let mut v = Variable::binary(0, format!("v{r}_{c}")).at(p);
-            if r == 0 && c == 0 {
-                v.evidence = Some(1);
-            }
-            ids.push(g.add_variable(v));
-        }
-    }
-    for r in 0..n {
-        for c in 0..n {
-            if c + 1 < n {
-                g.add_spatial_factor(SpatialFactor::binary(ids[r * n + c], ids[r * n + c + 1], 0.8));
-            }
-            if r + 1 < n {
-                g.add_spatial_factor(SpatialFactor::binary(ids[r * n + c], ids[(r + 1) * n + c], 0.8));
-            }
-        }
-    }
-    g
-}
-
 /// One measured `(sampler, grid)` cell of the report.
 struct RunRow {
     sampler: &'static str,
@@ -150,7 +120,7 @@ fn run(out: &str, epochs: usize) -> Result<(), String> {
     let ctx = ExecContext::unbounded();
     let mut rows = Vec::new();
     for &side in &GRID_SIDES {
-        let graph = grid_graph(side);
+        let graph = FactorGraph::lattice(side, 0.8, true);
         let nvars = graph.num_variables();
         eprintln!("grid {side}x{side}: {nvars} variables, {} spatial factors", graph.num_spatial_factors());
 

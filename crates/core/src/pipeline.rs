@@ -584,10 +584,10 @@ impl SyaSession {
         // 3. Bulk-insert the new atoms into the pyramid and grow the
         //    sample counters.
         kb.counts.extend_for(&kb.grounding.graph);
-        // Warm start for the restricted re-sample: existing variables at
-        // their converged argmax, new ones at 0 (they are re-sampled
-        // anyway — only the frozen surroundings' values matter).
-        let init = kb.map_assignment();
+        // The restricted re-sample warm-starts from these counts:
+        // existing variables at their converged quantiles, new ones at 0
+        // (they are re-sampled anyway — only the frozen surroundings'
+        // values matter).
         let t1 = Instant::now();
         let mut resampled = 0usize;
         if let Some(pyramid) = kb.pyramid.as_mut() {
@@ -603,7 +603,7 @@ impl SyaSession {
                     pyramid,
                     &new_vars,
                     &self.config.infer,
-                    Some(&init),
+                    &kb.counts,
                     &self.obs,
                 );
                 resampled = touched.len();

@@ -100,8 +100,8 @@ impl KnowledgeBase {
 
     /// The maximum-marginal assignment: each evidence variable at its
     /// observed value, each query variable at the argmax of its counts.
-    /// This is the warm-start state for incremental re-inference and the
-    /// per-chain assignment of serve-time checkpoint synthesis.
+    /// This is the per-chain assignment of serve-time checkpoint
+    /// synthesis.
     pub fn map_assignment(&self) -> Vec<u32> {
         let rows = self.counts.to_rows();
         self.grounding
@@ -173,9 +173,8 @@ impl KnowledgeBase {
         };
         // Warm start from the pre-update marginals: the restricted sweep
         // conditions on the frozen surroundings, which must sit at their
-        // converged values, not at random draws. Computed before the
-        // evidence lands so retractions still see the old argmax.
-        let init = self.map_assignment();
+        // converged values, not at random draws. A retracted observation
+        // keeps its observed value's counts, so its variable starts there.
         for &(v, value) in changes {
             self.grounding.graph.set_evidence(v, value);
         }
@@ -188,7 +187,7 @@ impl KnowledgeBase {
                 pyramid,
                 &changed,
                 &self.config.infer,
-                Some(&init),
+                &self.counts,
                 obs,
             );
         let elapsed = start.elapsed();

@@ -25,7 +25,8 @@
 //!    slots are recycled via the graph's free lists.
 //! 3. **Re-inference** re-samples only the concliques of the variables
 //!    the delta touched (new atoms, plus live neighbours of tombstoned
-//!    factors), warm-started from the converged marginals' argmax.
+//!    factors), instance k of K warm-started from the (k + ½)/K quantile
+//!    of the converged marginals.
 //!
 //! The touched-variable set returned in [`DeltaStats`] is what a serving
 //! layer needs for precise cache invalidation: only cached answers whose
@@ -290,7 +291,6 @@ pub fn apply_updates(
     // ---- Re-inference: one conclique-restricted warm re-sample over
     // everything the batch touched.
     kb.counts.extend_for(&kb.grounding.graph);
-    let init = kb.map_assignment();
     let pyramid = kb.pyramid.as_mut().expect("checked above");
     for &v in &new_vars {
         if let Some(p) = kb.grounding.graph.variable(v).location {
@@ -311,7 +311,7 @@ pub fn apply_updates(
             pyramid,
             &changed,
             &session.config().infer,
-            Some(&init),
+            &kb.counts,
             session.obs(),
         );
         stats.resampled = affected.len();

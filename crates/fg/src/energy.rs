@@ -23,6 +23,30 @@ pub fn log_prob_unnormalized(graph: &FactorGraph, assignment: &Assignment) -> f6
     logical + spatial + region
 }
 
+/// Exact `P(v = 1)` of every variable by enumerating all states of the
+/// free variables (binary graphs of at most ~20 free variables) — the
+/// reference the sampler tests compare against.
+pub fn exact_marginals(graph: &FactorGraph) -> Vec<f64> {
+    let free = graph.query_variables();
+    assert!(free.len() <= 20, "{} free variables are too many to enumerate", free.len());
+    let mut state = graph.initial_assignment();
+    let mut mass = vec![0.0; graph.num_variables()];
+    let mut z = 0.0;
+    for bits in 0..(1u32 << free.len()) {
+        for (i, &v) in free.iter().enumerate() {
+            state[v as usize] = (bits >> i) & 1;
+        }
+        let w = log_prob_unnormalized(graph, &state).exp();
+        z += w;
+        for (m, &x) in mass.iter_mut().zip(&state) {
+            if x == 1 {
+                *m += w;
+            }
+        }
+    }
+    mass.iter().map(|m| m / z).collect()
+}
+
 /// Local energy of variable `v` taking `value`, with the other values
 /// supplied by an arbitrary source (a plain assignment slice, or an
 /// atomic view during lock-free parallel sampling).

@@ -54,6 +54,35 @@ impl FactorGraph {
         Self::default()
     }
 
+    /// An `n × n` lattice of binary variables `v{r}_{c}` (id `r·n + c`,
+    /// located at `(c + ½, r + ½)`) joined by 4-neighbour spatial factors
+    /// of weight `weight`; with `evidence_at_origin`, variable 0 is
+    /// observed true. The synthetic workload of the sampler tests and
+    /// benchmarks.
+    pub fn lattice(n: usize, weight: f64, evidence_at_origin: bool) -> Self {
+        let mut g = FactorGraph::new();
+        for r in 0..n {
+            for c in 0..n {
+                let p = Point::new(c as f64 + 0.5, r as f64 + 0.5);
+                let mut v = Variable::binary(0, format!("v{r}_{c}")).at(p);
+                if evidence_at_origin && r == 0 && c == 0 {
+                    v.evidence = Some(1);
+                }
+                g.add_variable(v);
+            }
+        }
+        for i in 0..(n * n) as VarId {
+            let (r, c) = (i as usize / n, i as usize % n);
+            if c + 1 < n {
+                g.add_spatial_factor(SpatialFactor::binary(i, i + 1, weight));
+            }
+            if r + 1 < n {
+                g.add_spatial_factor(SpatialFactor::binary(i, i + n as VarId, weight));
+            }
+        }
+        g
+    }
+
     /// Adds a variable, assigning it the next dense id.
     /// The `id` field of `v` is overwritten with the assigned id, which
     /// is returned.

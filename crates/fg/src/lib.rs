@@ -33,7 +33,7 @@ pub mod variable;
 pub mod weighting;
 
 pub use energy::{binary_conditional_true, conditional_distribution, conditional_with,
-    local_energy, local_energy_with, log_prob_unnormalized};
+    exact_marginals, local_energy, local_energy_with, log_prob_unnormalized};
 pub use factor::{Factor, FactorKind};
 pub use graph::{Assignment, FactorGraph};
 pub use partition::ShardInterface;

@@ -520,30 +520,7 @@ pub fn parallel_random_gibbs_ckpt(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sya_fg::{log_prob_unnormalized, Factor, FactorKind, SpatialFactor, Variable};
-
-    /// Exact marginal of each variable by enumeration (binary graphs).
-    fn exact_marginals(graph: &FactorGraph) -> Vec<f64> {
-        let n = graph.num_variables();
-        assert!(n <= 16);
-        let query = graph.query_variables();
-        let mut probs = vec![0.0; n];
-        let mut z = 0.0;
-        for bits in 0..(1u32 << query.len()) {
-            let mut assignment = graph.initial_assignment();
-            for (i, &v) in query.iter().enumerate() {
-                assignment[v as usize] = (bits >> i) & 1;
-            }
-            let w = log_prob_unnormalized(graph, &assignment).exp();
-            z += w;
-            for v in 0..n {
-                if assignment[v] == 1 {
-                    probs[v] += w;
-                }
-            }
-        }
-        probs.iter().map(|p| p / z).collect()
-    }
+    use sya_fg::{exact_marginals, Factor, FactorKind, SpatialFactor, Variable};
 
     fn chain_graph() -> FactorGraph {
         // e -> a -> b with spatial a~b, evidence e = 1.

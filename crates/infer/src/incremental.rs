@@ -14,12 +14,13 @@ use sya_runtime::ExecContext;
 /// Re-runs Spatial Gibbs Sampling restricted to the pyramid cells that
 /// contain the `changed` variables or their Markov-blanket neighbours.
 ///
-/// `init` warm-starts the chains (one value per variable, e.g. the
-/// current marginal argmax). The restricted sweep conditions on the
-/// values of every variable *outside* the affected cells, so callers
-/// that hold converged marginals should always pass them: starting the
-/// frozen surroundings at random values biases the affected region
-/// toward states the converged chain never visits.
+/// `init` holds the current marginals: instance `k` of `K` starts every
+/// variable at the `(k + ½)/K` quantile of its counts
+/// ([`MarginalCounts::quantile_assignment`]; unsampled ones at 0). The
+/// restricted sweep conditions on the variables *outside* the affected
+/// cells, so they must sit where the converged chains sat; and instances
+/// that split between modes before the update start in the same split,
+/// instead of all collapsing onto one argmax state.
 ///
 /// The run executes inside an `infer.incremental` span on `obs` and
 /// bumps the `infer.incremental.resampled_vars` /
@@ -36,7 +37,7 @@ pub fn incremental_spatial_gibbs(
     pyramid: &PyramidIndex,
     changed: &[VarId],
     cfg: &InferConfig,
-    init: Option<&[u32]>,
+    init: &MarginalCounts,
     obs: &Obs,
 ) -> (MarginalCounts, HashSet<VarId>) {
     let mut span = obs.span("infer.incremental");
@@ -72,10 +73,9 @@ pub fn incremental_spatial_gibbs(
     obs.counter_add("infer.incremental.cells_touched", cells.len() as u64);
     obs.counter_add("infer.incremental.resampled_vars", resampled.len() as u64);
 
-    let start = init.map_or(Start::Fresh, Start::Warm);
     let ctx = ExecContext::unbounded();
     let none = CheckpointOptions::none();
-    let run = run_chains(graph, pyramid, cfg, &ctx, Some(&cells), start, none)
+    let run = run_chains(graph, pyramid, cfg, &ctx, Some(&cells), Start::Warm(init), none)
         .unwrap_or_else(|e| panic!("incremental spatial gibbs failed: {e}"));
     (run.counts, resampled)
 }
@@ -161,14 +161,16 @@ mod tests {
         g
     }
 
-    /// A cold-started, unobserved incremental run.
+    /// An unobserved incremental run started from empty marginals
+    /// (every free variable at 0).
     fn resample(
         g: &FactorGraph,
         pyramid: &PyramidIndex,
         changed: &[VarId],
         cfg: &InferConfig,
     ) -> (MarginalCounts, HashSet<VarId>) {
-        incremental_spatial_gibbs(g, pyramid, changed, cfg, None, &Obs::disabled())
+        let init = MarginalCounts::new(g);
+        incremental_spatial_gibbs(g, pyramid, changed, cfg, &init, &Obs::disabled())
     }
 
     fn cfg(epochs: usize) -> InferConfig {
@@ -214,16 +216,42 @@ mod tests {
             ..Default::default()
         };
         let full = spatial_gibbs(&g, &pyramid, &full_cfg);
-        // Warm-start from the full run's argmax, as every caller does:
-        // the restricted sweep conditions on the frozen surroundings.
-        let init: Vec<u32> = (0..g.num_variables() as VarId)
-            .map(|v| u32::from(full.factual_score(v) >= 0.5))
-            .collect();
         let (inc, resampled) =
-            incremental_spatial_gibbs(&g, &pyramid, &[7], &full_cfg, Some(&init), &Obs::disabled());
+            incremental_spatial_gibbs(&g, &pyramid, &[7], &full_cfg, &full, &Obs::disabled());
         assert!(resampled.contains(&6));
         let diff = (full.factual_score(6) - inc.factual_score(6)).abs();
         assert!(diff < 0.1, "incremental {} vs full {}", inc.factual_score(6), full.factual_score(6));
+    }
+
+    /// On a mode-locked graph each instance stays where it starts. The
+    /// quantile warm start puts half the instances in each mode when the
+    /// marginals say 0.5, so a no-op re-sample leaves 0.5 at 0.5 rather
+    /// than collapsing every instance onto one state.
+    #[test]
+    fn warm_start_keeps_a_split_between_locked_instances() {
+        let mut g = FactorGraph::new();
+        for i in 0..8 {
+            let p = Point::new(i as f64 + 0.5, 0.5);
+            g.add_variable(Variable::binary(0, format!("v{i}")).at(p));
+        }
+        for i in 0..7 {
+            g.add_spatial_factor(SpatialFactor::binary(i, i + 1, 12.0));
+        }
+        let pyramid = PyramidIndex::build(&g, 4, 64);
+        // Two instances saw all-0, two saw all-1.
+        let mut init = MarginalCounts::new(&g);
+        for v in 0..8 {
+            for x in [0, 0, 1, 1] {
+                init.record(v, x);
+            }
+        }
+        let cfg = InferConfig { instances: 4, ..cfg(400) };
+        let (counts, resampled) =
+            incremental_spatial_gibbs(&g, &pyramid, &[3], &cfg, &init, &Obs::disabled());
+        assert!(resampled.contains(&3));
+        for &v in &resampled {
+            assert_eq!(counts.factual_score(v), 0.5, "var {v}");
+        }
     }
 
     #[test]
@@ -240,8 +268,9 @@ mod tests {
         let g = line_graph(16);
         let pyramid = PyramidIndex::build(&g, 4, 64);
         let obs = Obs::enabled();
+        let init = MarginalCounts::new(&g);
         let (_, resampled) =
-            incremental_spatial_gibbs(&g, &pyramid, &[15], &cfg(50), None, &obs);
+            incremental_spatial_gibbs(&g, &pyramid, &[15], &cfg(50), &init, &obs);
         let m = obs.metrics().unwrap();
         assert_eq!(
             m.counter_value("infer.incremental.resampled_vars"),

@@ -15,7 +15,7 @@
 //! * [`shard_sweep`] — the one Spatial Gibbs sweep kernel: a phase
 //!   schedule (levels serially, concliques serially) and a chain that
 //!   samples the variables it owns against the assignment board frozen
-//!   at each phase start, drawing from per-`(seed, epoch, variable)`
+//!   at each phase start, drawing from per-`(seed, epoch, pass, variable)`
 //!   streams — so the counts are bit-identical for any split across
 //!   worker threads or shards. Same-phase neighbours update from each
 //!   other's phase-start values, the kernel's one known approximation

@@ -104,6 +104,32 @@ impl MarginalCounts {
         }
     }
 
+    /// One value per variable: the `(k + ½) / of` quantile of its
+    /// sampled distribution (values in domain order), or 0 for a variable
+    /// with no samples. Instance `k` of `of` warm-starts from this, so
+    /// instances that split between modes before an update start in the
+    /// same split: with 4 instances and `P(v = 1) = 0.5`, instances 0
+    /// and 1 start `v` at 0 and instances 2 and 3 at 1. For one instance
+    /// and a binary variable it is the argmax, ties going to 1.
+    pub fn quantile_assignment(&self, k: usize, of: usize) -> Vec<u32> {
+        let (k, of) = (k as u128, of.max(1) as u128);
+        self.counts
+            .iter()
+            .zip(&self.totals)
+            .map(|(row, &total)| {
+                // First x with cdf(x) > (k + ½) / of, in integers.
+                let target = (2 * k + 1) * total as u128;
+                let mut cum = 0u128;
+                row.iter()
+                    .position(|&c| {
+                        cum += c as u128;
+                        cum * 2 * of > target
+                    })
+                    .map_or(0, |x| x as u32)
+            })
+            .collect()
+    }
+
     /// Rebuilds the counters after a graph compaction: `remap[old]` gives
     /// the new id (or `None` for removed variables).
     pub fn remap(&self, remap: &[Option<VarId>], new_graph: &FactorGraph) -> MarginalCounts {
@@ -253,6 +279,25 @@ mod tests {
         m.record(1, 3);
         let scores = m.factual_scores(&g);
         assert_eq!(scores[1], 0.5); // value 2 has 2/4
+    }
+
+    #[test]
+    fn quantile_assignment_splits_instances_by_marginal() {
+        let g = graph();
+        let mut c = MarginalCounts::new(&g);
+        assert_eq!(c.quantile_assignment(2, 4), [0, 0], "unsampled rows start at 0");
+        // a: P(1) = 0.5; b: P(0) = 0.25, P(3) = 0.75.
+        for x in [0, 1, 0, 1] {
+            c.record(0, x);
+        }
+        for x in [3, 3, 0, 3] {
+            c.record(1, x);
+        }
+        let starts: Vec<Vec<u32>> = (0..4).map(|k| c.quantile_assignment(k, 4)).collect();
+        assert_eq!(starts.iter().map(|a| a[0]).collect::<Vec<_>>(), [0, 0, 1, 1]);
+        assert_eq!(starts.iter().map(|a| a[1]).collect::<Vec<_>>(), [0, 3, 3, 3]);
+        // One instance: the argmax, a binary tie going to 1.
+        assert_eq!(c.quantile_assignment(0, 1), [1, 3]);
     }
 
     #[test]

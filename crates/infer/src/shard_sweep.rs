@@ -15,9 +15,11 @@
 //!   Who computes a conditional, and in which order, therefore cannot
 //!   change its value;
 //! * **per-variable streams** — every draw uses an RNG stream derived
-//!   from `(seed, epoch, variable)` ([`var_epoch_rng`]), so the random
-//!   numbers a variable consumes do not depend on which chain, shard or
-//!   worker thread draws it.
+//!   from `(seed, epoch, pass, variable)` ([`var_epoch_rng`]), so the
+//!   random numbers a variable consumes do not depend on which chain,
+//!   shard or worker thread draws it. The *pass* (the level's position
+//!   in the epoch's sweep) gives each per-level draw of `AllLevels` its
+//!   own stream.
 //!
 //! Together these make the counts bit-identical for any split of the
 //! variables: in-process Spatial Gibbs is the one-shard case (one chain
@@ -56,14 +58,17 @@ use sya_obs::{ConvergenceSeries, EpochTelemetry};
 /// the init draw never collides with an epoch stream.
 const INIT_EPOCH_TAG: u64 = u64::MAX;
 
-/// The derived RNG stream for one `(seed, epoch, variable)` draw. Owner
-/// independence of the sweep rests on this: any chain or worker
-/// sampling `v` at `epoch` consumes the same stream.
+/// The derived RNG stream for one `(seed, epoch, pass, variable)` draw.
+/// Owner independence of the sweep rests on this: any chain or worker
+/// sampling `v` in pass `pass` of `epoch` consumes the same stream. A
+/// schedule visits a variable at most once per pass, so no two draws of
+/// one chain share a stream.
 #[inline]
-pub fn var_epoch_rng(seed: u64, epoch: u64, v: VarId) -> StdRng {
+pub fn var_epoch_rng(seed: u64, epoch: u64, pass: u64, v: VarId) -> StdRng {
     StdRng::seed_from_u64(
         seed ^ epoch.wrapping_mul(0x2545_F491_4F6C_DD1D)
-            ^ (v as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ^ (v as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ pass.wrapping_mul(0xD6E8_FEB8_6659_FD93),
     )
 }
 
@@ -79,7 +84,7 @@ pub fn init_board(graph: &FactorGraph, seed: u64, warm: Option<&[u32]>) -> Vec<A
             AtomicU32::new(match (v.evidence, warm) {
                 (Some(e), _) => e,
                 (None, Some(w)) => w.get(v.id as usize).map_or(0, |&x| x.min(card - 1)),
-                (None, None) => var_epoch_rng(seed, INIT_EPOCH_TAG, v.id).gen_range(0..card),
+                (None, None) => var_epoch_rng(seed, INIT_EPOCH_TAG, 0, v.id).gen_range(0..card),
             })
         })
         .collect()
@@ -90,6 +95,9 @@ pub fn init_board(graph: &FactorGraph, seed: u64, warm: Option<&[u32]>) -> Vec<A
 pub struct SweepPhase {
     /// Conclique of the minimum cover (`None` for unlocated variables).
     pub conclique: Option<u8>,
+    /// Position of the phase's level among the levels the epoch sweeps
+    /// (0 for unlocated variables): the stream index of its draws.
+    pub pass: u64,
     /// Free variables the phase sweeps, in canonical (cell, index)
     /// order.
     pub vars: Vec<VarId>,
@@ -115,7 +123,8 @@ impl ShardSchedule {
         region: Option<&HashSet<CellKey>>,
     ) -> Self {
         let mut phases = Vec::new();
-        for level in cfg.active_sweep_levels(pyramid.levels()) {
+        let levels = cfg.active_sweep_levels(pyramid.levels());
+        for (pass, level) in levels.into_iter().enumerate() {
             let mut cells = pyramid.sampling_cells(level);
             if let Some(region) = region {
                 cells.retain(|c| region.contains(c));
@@ -127,7 +136,7 @@ impl ShardSchedule {
                     .filter(|&v| !graph.variable(v).is_evidence())
                     .collect();
                 if !vars.is_empty() {
-                    phases.push(SweepPhase { conclique: Some(conclique.0), vars });
+                    phases.push(SweepPhase { conclique: Some(conclique.0), pass: pass as u64, vars });
                 }
             }
         }
@@ -138,7 +147,7 @@ impl ShardSchedule {
             .map(|v| v.id)
             .collect();
         if !unlocated.is_empty() {
-            phases.push(SweepPhase { conclique: None, vars: unlocated });
+            phases.push(SweepPhase { conclique: None, pass: 0, vars: unlocated });
         }
         ShardSchedule { phases }
     }
@@ -172,6 +181,8 @@ pub struct ShardChain<'g> {
     phase_vars: Vec<Vec<VarId>>,
     /// Conclique of each schedule phase, for the per-conclique credit.
     phase_conclique: Vec<Option<u8>>,
+    /// Stream pass of each schedule phase.
+    phase_pass: Vec<u64>,
     /// Owned evidence variables with their clamped values.
     evidence_owned: Vec<(VarId, u32)>,
     /// Buffered writes of the current phase, published at the barrier.
@@ -223,6 +234,7 @@ impl<'g> ShardChain<'g> {
             owned,
             phase_vars,
             phase_conclique: schedule.phases.iter().map(|p| p.conclique).collect(),
+            phase_pass: schedule.phases.iter().map(|p| p.pass).collect(),
             evidence_owned,
             writes: Vec::new(),
             counts: MarginalCounts::new(graph),
@@ -284,19 +296,22 @@ impl<'g> ShardChain<'g> {
             .fold(0.0, f64::max)
     }
 
-    /// Draws `vars` (part of this chain's phase) at `epoch` against the
-    /// frozen board, appending `(var, value)` to `out`. Touches no chain
-    /// state, so worker threads may draw disjoint parts concurrently.
+    /// Draws `vars` (part of this chain's `phase`) at `epoch` against
+    /// the frozen board, appending `(var, value)` to `out`. Touches no
+    /// chain state, so worker threads may draw disjoint parts
+    /// concurrently.
     pub fn draw(
         &self,
         board: &[AtomicU32],
+        phase: usize,
         vars: &[VarId],
         epoch: usize,
         out: &mut Vec<(VarId, u32)>,
     ) {
         let src = |u: VarId| board[u as usize].load(Ordering::Relaxed);
+        let pass = self.phase_pass[phase];
         for &v in vars {
-            let mut rng = var_epoch_rng(self.seed, epoch as u64, v);
+            let mut rng = var_epoch_rng(self.seed, epoch as u64, pass, v);
             out.push((v, sample_conditional(self.graph, &src, v, &mut rng)));
         }
     }
@@ -307,7 +322,7 @@ impl<'g> ShardChain<'g> {
     pub fn sample_phase(&mut self, board: &[AtomicU32], phase: usize, epoch: usize, record: bool) {
         let prof = sya_obs::profile::start();
         let mut writes = std::mem::take(&mut self.writes);
-        self.draw(board, &self.phase_vars[phase], epoch, &mut writes);
+        self.draw(board, phase, &self.phase_vars[phase], epoch, &mut writes);
         self.accept(phase, writes, record);
         sya_obs::profile::stop(sya_obs::profile::Site::ConcliqueSweep, prof);
     }
@@ -430,34 +445,7 @@ impl<'g> ShardChain<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sya_fg::{SpatialFactor, Variable};
-    use sya_geom::Point;
-
-    fn grid(n: usize) -> FactorGraph {
-        let mut g = FactorGraph::new();
-        for r in 0..n {
-            for c in 0..n {
-                let mut v = Variable::binary(0, format!("v{r}_{c}"))
-                    .at(Point::new(c as f64 + 0.5, r as f64 + 0.5));
-                if r == 0 && c == 0 {
-                    v.evidence = Some(1);
-                }
-                g.add_variable(v);
-            }
-        }
-        for r in 0..n {
-            for c in 0..n {
-                let i = (r * n + c) as VarId;
-                if c + 1 < n {
-                    g.add_spatial_factor(SpatialFactor::binary(i, i + 1, 0.8));
-                }
-                if r + 1 < n {
-                    g.add_spatial_factor(SpatialFactor::binary(i, i + n as VarId, 0.8));
-                }
-            }
-        }
-        g
-    }
+    use sya_fg::Variable;
 
     fn cfg() -> InferConfig {
         InferConfig {
@@ -470,7 +458,7 @@ mod tests {
 
     #[test]
     fn schedule_covers_every_free_variable_exactly_once_leaf_mode() {
-        let mut g = grid(4);
+        let mut g = FactorGraph::lattice(4, 0.8, true);
         g.add_variable(Variable::binary(0, "floating"));
         let pyramid = PyramidIndex::build(&g, 2, 64);
         let schedule = ShardSchedule::new(&g, &pyramid, &cfg(), None);
@@ -484,9 +472,44 @@ mod tests {
         assert!(last.vars.contains(&16));
     }
 
+    /// Under `AllLevels` a variable is drawn once per level of an epoch,
+    /// and each of those draws must come from its own stream. Uncoupled
+    /// variables have conditional ½, so a variable's two draws in one
+    /// epoch agree about half the time — every time, if they shared one.
+    #[test]
+    fn all_levels_passes_draw_from_independent_streams() {
+        let g = FactorGraph::lattice(4, 0.0, false);
+        let pyramid = PyramidIndex::build(&g, 3, 64);
+        let cfg = InferConfig {
+            levels: 3,
+            locality_level: 3,
+            sweep_mode: crate::SweepMode::AllLevels,
+            ..cfg()
+        };
+        let schedule = ShardSchedule::new(&g, &pyramid, &cfg, None);
+        let board = init_board(&g, cfg.seed, None);
+        let chain = ShardChain::new(&g, &schedule, &cfg, (0..16).collect());
+        let mut agree = 0;
+        for epoch in 0..50 {
+            let mut drawn: Vec<Vec<u32>> = vec![Vec::new(); 16];
+            for (phase, p) in schedule.phases.iter().enumerate() {
+                let mut out = Vec::new();
+                chain.draw(&board, phase, &p.vars, epoch, &mut out);
+                for (v, x) in out {
+                    assert_eq!(drawn[v as usize].len() as u64, p.pass, "one draw per pass");
+                    drawn[v as usize].push(x);
+                }
+            }
+            assert!(drawn.iter().all(|d| d.len() == 2), "levels 2 and 3: two passes");
+            agree += drawn.iter().filter(|d| d[0] == d[1]).count();
+        }
+        let rate = agree as f64 / (50 * 16) as f64;
+        assert!((0.4..0.6).contains(&rate), "passes agree at rate {rate}");
+    }
+
     #[test]
     fn init_board_is_seed_deterministic_and_clamps_evidence() {
-        let g = grid(3);
+        let g = FactorGraph::lattice(3, 0.8, true);
         let a = init_board(&g, 7, None);
         let b = init_board(&g, 7, None);
         let other = init_board(&g, 8, None);
@@ -502,7 +525,7 @@ mod tests {
     /// ownership across chains changes nothing about the sampled values.
     #[test]
     fn two_chain_split_reproduces_single_chain_exactly() {
-        let g = grid(4);
+        let g = FactorGraph::lattice(4, 0.8, true);
         let pyramid = PyramidIndex::build(&g, 2, 64);
         let cfg = cfg();
         let schedule = ShardSchedule::new(&g, &pyramid, &cfg, None);
@@ -549,28 +572,7 @@ mod tests {
         // the corner evidence, which freezes every running marginal and
         // would make the drift identically zero. At 0.05 the chain mixes,
         // so marginals keep moving after the snapshot.
-        let mut g = FactorGraph::new();
-        for r in 0..3 {
-            for c in 0..3 {
-                let mut v = Variable::binary(0, format!("v{r}_{c}"))
-                    .at(Point::new(c as f64 + 0.5, r as f64 + 0.5));
-                if r == 0 && c == 0 {
-                    v.evidence = Some(1);
-                }
-                g.add_variable(v);
-            }
-        }
-        for r in 0..3usize {
-            for c in 0..3usize {
-                let i = (r * 3 + c) as VarId;
-                if c + 1 < 3 {
-                    g.add_spatial_factor(SpatialFactor::binary(i, i + 1, 0.05));
-                }
-                if r + 1 < 3 {
-                    g.add_spatial_factor(SpatialFactor::binary(i, i + 3, 0.05));
-                }
-            }
-        }
+        let g = FactorGraph::lattice(3, 0.05, true);
         let pyramid = PyramidIndex::build(&g, 2, 64);
         let cfg = cfg();
         let schedule = ShardSchedule::new(&g, &pyramid, &cfg, None);
@@ -600,7 +602,7 @@ mod tests {
 
     #[test]
     fn retirement_signal_shrinks_over_epochs() {
-        let g = grid(3);
+        let g = FactorGraph::lattice(3, 0.8, true);
         let pyramid = PyramidIndex::build(&g, 2, 64);
         let cfg = cfg();
         let schedule = ShardSchedule::new(&g, &pyramid, &cfg, None);

@@ -11,7 +11,7 @@
 //! board: the sweep kernel of [`shard_sweep`](crate::shard_sweep), the
 //! same code the sharded executor and the cluster run. Every
 //! conditional of a phase reads the board frozen at the phase start and
-//! every draw comes from a `(seed, epoch, variable)` stream, so with
+//! every draw comes from a `(seed, epoch, pass, variable)` stream, so with
 //! `workers > 1` a phase's variables are split across scoped worker
 //! threads without changing a single draw: the counts are bit-identical
 //! for any worker count, and with `K = 1` they equal the sharded
@@ -274,13 +274,10 @@ impl<'a> CheckpointAggregator<'a> {
 pub(crate) enum Start<'a> {
     /// Evidence clamped, free variables at per-variable seeded draws.
     Fresh,
-    /// One starting value per variable (evidence still wins; stale values
-    /// are clamped to the domain). A restricted sweep conditions on the
-    /// *frozen* variables' starting values, so the incremental path
-    /// passes the current marginal argmax here — random surroundings
-    /// would bias the affected cells toward a state the full run never
-    /// visits.
-    Warm(&'a [u32]),
+    /// The current marginals: instance `k` of `K` starts at the
+    /// `(k + ½)/K` quantiles ([`MarginalCounts::quantile_assignment`];
+    /// evidence still wins, stale values are clamped to the domain).
+    Warm(&'a MarginalCounts),
     /// One pre-validated checkpointed chain per instance.
     Resume(Vec<ChainState>),
 }
@@ -305,9 +302,9 @@ pub(crate) fn run_chains(
         Some(_) => schedule.vars(),
         None => (0..graph.num_variables() as VarId).collect(),
     };
-    let (warm, resumes): (Option<&[u32]>, Vec<Option<ChainState>>) = match start {
+    let (warm, resumes): (Option<&MarginalCounts>, Vec<Option<ChainState>>) = match start {
         Start::Fresh => (None, vec![None; k]),
-        Start::Warm(values) => (Some(values), vec![None; k]),
+        Start::Warm(counts) => (Some(counts), vec![None; k]),
         Start::Resume(chains) => (None, chains.into_iter().map(Some).collect()),
     };
     let aggregator = ckpt
@@ -428,7 +425,8 @@ struct Sweep<'a> {
     schedule: &'a ShardSchedule,
     /// The variables every instance's chain owns.
     owned: &'a [VarId],
-    warm: Option<&'a [u32]>,
+    /// Marginals the instances warm-start from (see [`Start::Warm`]).
+    warm: Option<&'a MarginalCounts>,
     /// Epochs per instance, and the burn-in share of them.
     epochs: usize,
     burn_in: usize,
@@ -452,7 +450,11 @@ impl Sweep<'_> {
                 chain.resume_counts(counts, recorded);
                 (epoch.min(self.epochs), values.into_iter().map(AtomicU32::new).collect())
             }
-            None => (0, init_board(graph, cfg.seed, self.warm)),
+            None => {
+                let k = self.cfg.instances.max(1);
+                let warm = self.warm.map(|c| c.quantile_assignment(instance, k));
+                (0, init_board(graph, cfg.seed, warm.as_deref()))
+            }
         };
         let mut outcome = RunOutcome::Completed;
         let mut warnings = Vec::new();
@@ -560,7 +562,7 @@ impl Sweep<'_> {
                             );
                         }
                         let mut out = Vec::with_capacity(part.len());
-                        chain_ref.draw(board, part, epoch, &mut out);
+                        chain_ref.draw(board, phase, part, epoch, &mut out);
                         out
                     })
                 })
@@ -580,7 +582,7 @@ impl Sweep<'_> {
                          ({}); its variables were re-sampled sequentially",
                         panic_message(payload)
                     ));
-                    chain.draw(board, parts[ci], epoch, &mut writes);
+                    chain.draw(board, phase, parts[ci], epoch, &mut writes);
                 }
             }
         }
@@ -593,66 +595,7 @@ impl Sweep<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sya_fg::{log_prob_unnormalized, Factor, FactorKind, SpatialFactor, Variable};
-    use sya_geom::Point;
-
-    /// A small spatial grid graph with evidence in one corner.
-    fn grid_graph(n: usize) -> FactorGraph {
-        let mut g = FactorGraph::new();
-        let mut ids = Vec::new();
-        for r in 0..n {
-            for c in 0..n {
-                let p = Point::new(c as f64 + 0.5, r as f64 + 0.5);
-                let mut v = Variable::binary(0, format!("v{r}_{c}")).at(p);
-                if r == 0 && c == 0 {
-                    v.evidence = Some(1);
-                }
-                ids.push(g.add_variable(v));
-            }
-        }
-        // Spatial factors between 4-neighbours.
-        for r in 0..n {
-            for c in 0..n {
-                if c + 1 < n {
-                    g.add_spatial_factor(SpatialFactor::binary(
-                        ids[r * n + c],
-                        ids[r * n + c + 1],
-                        0.8,
-                    ));
-                }
-                if r + 1 < n {
-                    g.add_spatial_factor(SpatialFactor::binary(
-                        ids[r * n + c],
-                        ids[(r + 1) * n + c],
-                        0.8,
-                    ));
-                }
-            }
-        }
-        g
-    }
-
-    fn exact_marginals(graph: &FactorGraph) -> Vec<f64> {
-        let query = graph.query_variables();
-        assert!(query.len() <= 16);
-        let n = graph.num_variables();
-        let mut probs = vec![0.0; n];
-        let mut z = 0.0;
-        for bits in 0..(1u32 << query.len()) {
-            let mut a = graph.initial_assignment();
-            for (i, &v) in query.iter().enumerate() {
-                a[v as usize] = (bits >> i) & 1;
-            }
-            let w = log_prob_unnormalized(graph, &a).exp();
-            z += w;
-            for v in 0..n {
-                if a[v] == 1 {
-                    probs[v] += w;
-                }
-            }
-        }
-        probs.iter().map(|p| p / z).collect()
-    }
+    use sya_fg::{exact_marginals, Factor, FactorKind, Variable};
 
     #[test]
     fn sweep_levels_follow_algorithm_1() {
@@ -664,34 +607,39 @@ mod tests {
         assert_eq!(clamped.sweep_levels(), vec![2, 3]);
     }
 
+    /// Both sweep modes; under `AllLevels` every variable is drawn once
+    /// per level of an epoch, each draw from its own stream.
     #[test]
     fn spatial_gibbs_matches_exact_marginals_on_small_grid() {
-        let g = grid_graph(3); // 9 vars, 8 query
+        let g = FactorGraph::lattice(3, 0.8, true); // 9 vars, 8 query
         let pyramid = PyramidIndex::build(&g, 3, 64);
-        let cfg = InferConfig {
-            epochs: 8000,
-            instances: 2,
-            levels: 3,
-            locality_level: 3,
-            burn_in: 100,
-            seed: 11,
-            ..Default::default()
-        };
-        let counts = spatial_gibbs(&g, &pyramid, &cfg);
         let exact = exact_marginals(&g);
-        for v in g.query_variables() {
-            let est = counts.factual_score(v);
-            assert!(
-                (est - exact[v as usize]).abs() < 0.05,
-                "var {v}: est {est} vs exact {}",
-                exact[v as usize]
-            );
+        for sweep_mode in [SweepMode::LeafOnly, SweepMode::AllLevels] {
+            let cfg = InferConfig {
+                epochs: 8000,
+                instances: 2,
+                levels: 3,
+                locality_level: 3,
+                burn_in: 100,
+                seed: 11,
+                sweep_mode,
+                ..Default::default()
+            };
+            let counts = spatial_gibbs(&g, &pyramid, &cfg);
+            for v in g.query_variables() {
+                let est = counts.factual_score(v);
+                assert!(
+                    (est - exact[v as usize]).abs() < 0.05,
+                    "{sweep_mode:?} var {v}: est {est} vs exact {}",
+                    exact[v as usize]
+                );
+            }
         }
     }
 
     #[test]
     fn evidence_stays_clamped() {
-        let g = grid_graph(3);
+        let g = FactorGraph::lattice(3, 0.8, true);
         let pyramid = PyramidIndex::build(&g, 3, 64);
         let cfg = InferConfig {
             epochs: 200,
@@ -708,7 +656,7 @@ mod tests {
 
     #[test]
     fn unlocated_variables_are_sampled_too() {
-        let mut g = grid_graph(2);
+        let mut g = FactorGraph::lattice(2, 0.8, true);
         let floating = g.add_variable(Variable::binary(0, "floating"));
         g.add_factor(Factor::new(FactorKind::IsTrue, vec![floating], 2.0));
         let pyramid = PyramidIndex::build(&g, 3, 64);
@@ -731,7 +679,7 @@ mod tests {
     #[test]
     fn deterministic_given_seed_and_single_worker_graph() {
         // Per-variable streams and frozen phase boards: one seed, one answer.
-        let g = grid_graph(2);
+        let g = FactorGraph::lattice(2, 0.8, true);
         let pyramid = PyramidIndex::build(&g, 2, 64);
         let cfg = InferConfig {
             epochs: 100,
@@ -750,7 +698,7 @@ mod tests {
     #[test]
     fn injected_instance_panic_degrades_gracefully() {
         use sya_runtime::FaultPlan;
-        let g = grid_graph(3);
+        let g = FactorGraph::lattice(3, 0.8, true);
         let pyramid = PyramidIndex::build(&g, 3, 64);
         let cfg = InferConfig {
             epochs: 8000,
@@ -786,7 +734,7 @@ mod tests {
         // 8x8 grid, shallow pyramid: level-2 phases hold many variables,
         // and two forced workers make the parallel path run even on a
         // single-core machine.
-        let g = grid_graph(8);
+        let g = FactorGraph::lattice(8, 0.8, true);
         let pyramid = PyramidIndex::build(&g, 2, 64);
         let cfg = InferConfig {
             epochs: 400,
@@ -819,7 +767,7 @@ mod tests {
 
     #[test]
     fn deadline_yields_timed_out_with_partial_marginals() {
-        let g = grid_graph(3);
+        let g = FactorGraph::lattice(3, 0.8, true);
         let pyramid = PyramidIndex::build(&g, 3, 64);
         let cfg = InferConfig {
             epochs: usize::MAX / 2, // only the deadline can stop this
@@ -845,7 +793,7 @@ mod tests {
 
     #[test]
     fn cancellation_stops_at_the_next_epoch_barrier() {
-        let g = grid_graph(3);
+        let g = FactorGraph::lattice(3, 0.8, true);
         let pyramid = PyramidIndex::build(&g, 3, 64);
         let cfg = InferConfig {
             epochs: usize::MAX / 2,
@@ -868,7 +816,7 @@ mod tests {
     #[test]
     fn all_instances_failing_is_an_error() {
         use sya_runtime::FaultPlan;
-        let g = grid_graph(2);
+        let g = FactorGraph::lattice(2, 0.8, true);
         let pyramid = PyramidIndex::build(&g, 2, 64);
         let cfg = InferConfig {
             epochs: 100,
@@ -895,7 +843,7 @@ mod tests {
 
     #[test]
     fn governed_run_without_faults_matches_legacy() {
-        let g = grid_graph(2);
+        let g = FactorGraph::lattice(2, 0.8, true);
         let pyramid = PyramidIndex::build(&g, 2, 64);
         let cfg = InferConfig {
             epochs: 100,
@@ -916,7 +864,7 @@ mod tests {
     #[test]
     fn conclique_gauges_match_cover_ground_truth() {
         use sya_obs::Obs;
-        let g = grid_graph(4);
+        let g = FactorGraph::lattice(4, 0.8, true);
         let pyramid = PyramidIndex::build(&g, 2, 64);
         let cfg = InferConfig {
             epochs: 20,
@@ -955,7 +903,7 @@ mod tests {
 
     #[test]
     fn telemetry_records_per_epoch_series() {
-        let g = grid_graph(3);
+        let g = FactorGraph::lattice(3, 0.8, true);
         let pyramid = PyramidIndex::build(&g, 3, 64);
         let cfg = InferConfig {
             epochs: 40,
@@ -982,7 +930,7 @@ mod tests {
     #[test]
     fn observed_run_publishes_spatial_series_and_pll() {
         use sya_obs::Obs;
-        let g = grid_graph(3);
+        let g = FactorGraph::lattice(3, 0.8, true);
         let pyramid = PyramidIndex::build(&g, 3, 64);
         let cfg = InferConfig {
             epochs: 16,
@@ -1016,7 +964,7 @@ mod tests {
 
     #[test]
     fn more_instances_split_the_epoch_budget() {
-        let g = grid_graph(2);
+        let g = FactorGraph::lattice(2, 0.8, true);
         let pyramid = PyramidIndex::build(&g, 2, 64);
         let one = InferConfig {
             epochs: 100,

@@ -11,7 +11,7 @@
 //! applies only *foreign* writes. The coordinator is the phase
 //! sequencer: it collects one `Publish` per live worker, concatenates
 //! the write sets, and broadcasts the `Halo`. Because ownership is
-//! total and draws use per-`(seed, epoch, variable)` RNG streams, the
+//! total and draws use per-`(seed, epoch, pass, variable)` RNG streams, the
 //! merged marginals are bit-identical to the in-process executor
 //! ([`run_sharded`](crate::exec::run_sharded)) and to a single-shard
 //! run.

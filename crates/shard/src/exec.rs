@@ -11,7 +11,7 @@
 //! every shard publishes its buffered writes (the halo exchange: the
 //! publish is what makes a shard's new states visible as its
 //! neighbours' halos) and a second barrier opens the next phase. Because
-//! draws use per-`(seed, epoch, variable)` derived RNG streams and all
+//! draws use per-`(seed, epoch, pass, variable)` derived RNG streams and all
 //! conditionals see the same frozen board, the merged marginals are
 //! bit-identical for every shard count.
 //!

@@ -44,37 +44,10 @@ pub use wire::{Frame, WireError};
 mod tests {
     use super::*;
     use std::path::PathBuf;
-    use sya_fg::{FactorGraph, SpatialFactor, VarId, Variable};
-    use sya_geom::Point;
+    use sya_fg::{exact_marginals, FactorGraph, VarId};
     use sya_ground::pyramid_cell_map;
     use sya_infer::{InferConfig, PyramidIndex};
     use sya_runtime::ExecContext;
-
-    fn grid(n: usize, evidence_at_origin: bool) -> FactorGraph {
-        let mut g = FactorGraph::new();
-        for r in 0..n {
-            for c in 0..n {
-                let mut v = Variable::binary(0, format!("v{r}_{c}"))
-                    .at(Point::new(c as f64 + 0.5, r as f64 + 0.5));
-                if evidence_at_origin && r == 0 && c == 0 {
-                    v.evidence = Some(1);
-                }
-                g.add_variable(v);
-            }
-        }
-        for r in 0..n {
-            for c in 0..n {
-                let i = (r * n + c) as VarId;
-                if c + 1 < n {
-                    g.add_spatial_factor(SpatialFactor::binary(i, i + 1, 0.8));
-                }
-                if r + 1 < n {
-                    g.add_spatial_factor(SpatialFactor::binary(i, i + n as VarId, 0.8));
-                }
-            }
-        }
-        g
-    }
 
     fn cfg(epochs: usize) -> InferConfig {
         InferConfig {
@@ -105,7 +78,7 @@ mod tests {
 
     #[test]
     fn merged_marginals_are_bit_identical_across_shard_counts() {
-        let g = grid(4, true);
+        let g = FactorGraph::lattice(4, 0.8, true);
         let cfg = cfg(200);
         let reference = run(&g, &cfg, 1);
         for shards in [2, 3, 4] {
@@ -122,7 +95,7 @@ mod tests {
     /// an all-zero row for it.
     #[test]
     fn interior_variable_is_never_resampled_by_a_foreign_shard() {
-        let g = grid(4, false);
+        let g = FactorGraph::lattice(4, 0.8, false);
         let cells = pyramid_cell_map(&g, 1);
         let plan = ShardPlan::build(&g, &cells, 4, 1);
         // Pick an interior variable: all its neighbours share its owner.
@@ -152,7 +125,7 @@ mod tests {
 
     #[test]
     fn report_carries_per_shard_interface_stats() {
-        let g = grid(4, true);
+        let g = FactorGraph::lattice(4, 0.8, true);
         let report = run(&g, &cfg(60), 2);
         assert_eq!(report.per_shard.len(), 2);
         let halo_total: usize = report.per_shard.iter().map(|s| s.halo_vars).sum();
@@ -170,7 +143,7 @@ mod tests {
     fn retirement_ends_the_run_early_and_reports_it() {
         // Strong evidence coupling + generous tolerance: every shard
         // retires long before the epoch budget.
-        let g = grid(4, true);
+        let g = FactorGraph::lattice(4, 0.8, true);
         let cfg = cfg(4000);
         let pyramid = PyramidIndex::build(&g, cfg.levels, cfg.cell_capacity);
         let cells = pyramid_cell_map(&g, 1);
@@ -205,7 +178,7 @@ mod tests {
 
     #[test]
     fn checkpoints_write_per_shard_stores_and_manifest_and_resume_matches() {
-        let g = grid(4, true);
+        let g = FactorGraph::lattice(4, 0.8, true);
         let cfg = cfg(120);
         let pyramid = PyramidIndex::build(&g, cfg.levels, cfg.cell_capacity);
         let cells = pyramid_cell_map(&g, 1);
@@ -263,7 +236,7 @@ mod tests {
 
     #[test]
     fn manifest_shard_count_mismatch_starts_fresh() {
-        let g = grid(4, true);
+        let g = FactorGraph::lattice(4, 0.8, true);
         let cfg = cfg(40);
         let pyramid = PyramidIndex::build(&g, cfg.levels, cfg.cell_capacity);
         let cells = pyramid_cell_map(&g, 1);
@@ -287,36 +260,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Exact marginals by enumeration over free binary variables.
-    fn exact_marginals(g: &FactorGraph) -> Vec<f64> {
-        let free: Vec<VarId> = g.query_variables();
-        let mut base: Vec<u32> = g
-            .variables()
-            .iter()
-            .map(|v| v.evidence.unwrap_or(0))
-            .collect();
-        let mut mass = vec![0.0; g.num_variables()];
-        let mut z = 0.0;
-        for bits in 0..(1u32 << free.len()) {
-            for (i, &v) in free.iter().enumerate() {
-                base[v as usize] = (bits >> i) & 1;
-            }
-            let w = sya_fg::log_prob_unnormalized(g, &base).exp();
-            z += w;
-            for &v in &free {
-                if base[v as usize] == 1 {
-                    mass[v as usize] += w;
-                }
-            }
-        }
-        mass.iter().map(|m| m / z).collect()
-    }
-
     #[test]
     fn sharded_marginals_converge_to_the_exact_distribution() {
         // The bitwise tests pin shard counts to each other; this pins
         // the whole construction to the model it is supposed to sample.
-        let g = grid(3, true);
+        let g = FactorGraph::lattice(3, 0.8, true);
         let exact = exact_marginals(&g);
         let mut cfg = cfg(8000);
         cfg.seed = 5;

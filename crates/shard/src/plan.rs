@@ -119,37 +119,11 @@ pub struct ShardSummary {
 mod tests {
     use super::*;
     use sya_fg::Variable;
-    use sya_geom::Point;
     use sya_ground::pyramid_cell_map;
-
-    /// An n×n unit grid with 4-neighbour spatial factors.
-    fn grid(n: usize) -> FactorGraph {
-        let mut g = FactorGraph::new();
-        for r in 0..n {
-            for c in 0..n {
-                g.add_variable(
-                    Variable::binary(0, format!("v{r}_{c}"))
-                        .at(Point::new(c as f64 + 0.5, r as f64 + 0.5)),
-                );
-            }
-        }
-        for r in 0..n {
-            for c in 0..n {
-                let i = (r * n + c) as VarId;
-                if c + 1 < n {
-                    g.add_spatial_factor(sya_fg::SpatialFactor::binary(i, i + 1, 0.5));
-                }
-                if r + 1 < n {
-                    g.add_spatial_factor(sya_fg::SpatialFactor::binary(i, i + n as VarId, 0.5));
-                }
-            }
-        }
-        g
-    }
 
     #[test]
     fn every_variable_gets_exactly_one_owner() {
-        let mut g = grid(4);
+        let mut g = FactorGraph::lattice(4, 0.5, false);
         g.add_variable(Variable::binary(0, "floating-a"));
         g.add_variable(Variable::binary(0, "floating-b"));
         let cells = pyramid_cell_map(&g, 2);
@@ -164,7 +138,7 @@ mod tests {
 
     #[test]
     fn split_is_balanced_by_variable_count() {
-        let g = grid(8); // 64 located vars
+        let g = FactorGraph::lattice(8, 0.5, false); // 64 located vars
         let cells = pyramid_cell_map(&g, 3);
         let plan = ShardPlan::build(&g, &cells, 4, 3);
         for s in 0..4 {
@@ -175,7 +149,7 @@ mod tests {
 
     #[test]
     fn single_shard_owns_everything_with_empty_interface() {
-        let g = grid(3);
+        let g = FactorGraph::lattice(3, 0.5, false);
         let cells = pyramid_cell_map(&g, 2);
         let plan = ShardPlan::build(&g, &cells, 1, 2);
         assert_eq!(plan.owned[0].len(), 9);
@@ -186,7 +160,7 @@ mod tests {
 
     #[test]
     fn more_shards_than_cells_leaves_late_shards_empty_but_valid() {
-        let g = grid(2); // level 1 → at most 4 cells
+        let g = FactorGraph::lattice(2, 0.5, false); // level 1 → at most 4 cells
         let cells = pyramid_cell_map(&g, 1);
         let plan = ShardPlan::build(&g, &cells, 8, 1);
         let total: usize = plan.owned.iter().map(Vec::len).sum();
@@ -196,7 +170,7 @@ mod tests {
 
     #[test]
     fn contiguous_cut_keeps_boundary_small_on_a_grid() {
-        let g = grid(8);
+        let g = FactorGraph::lattice(8, 0.5, false);
         let cells = pyramid_cell_map(&g, 3);
         let plan = ShardPlan::build(&g, &cells, 2, 3);
         // 2·8·7 = 112 factors; a compact 2-way cut of an 8×8 grid must

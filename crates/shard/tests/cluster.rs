@@ -8,8 +8,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use sya_fg::{FactorGraph, SpatialFactor, VarId, Variable};
-use sya_geom::Point;
+use sya_fg::FactorGraph;
 use sya_ground::pyramid_cell_map;
 use sya_infer::{InferConfig, PyramidIndex};
 use sya_runtime::{Backoff, ExecContext, FaultPlan, RunOutcome};
@@ -17,32 +16,6 @@ use sya_shard::{
     run_cluster, run_sharded, ClusterConfig, ShardCkptOptions, ShardPlan, ShardRunReport,
     ThreadLauncher,
 };
-
-fn grid(n: usize) -> FactorGraph {
-    let mut g = FactorGraph::new();
-    for r in 0..n {
-        for c in 0..n {
-            let mut v = Variable::binary(0, format!("v{r}_{c}"))
-                .at(Point::new(c as f64 + 0.5, r as f64 + 0.5));
-            if r == 0 && c == 0 {
-                v.evidence = Some(1);
-            }
-            g.add_variable(v);
-        }
-    }
-    for r in 0..n {
-        for c in 0..n {
-            let i = (r * n + c) as VarId;
-            if c + 1 < n {
-                g.add_spatial_factor(SpatialFactor::binary(i, i + 1, 0.8));
-            }
-            if r + 1 < n {
-                g.add_spatial_factor(SpatialFactor::binary(i, i + n as VarId, 0.8));
-            }
-        }
-    }
-    g
-}
 
 fn cfg(epochs: usize) -> InferConfig {
     InferConfig {
@@ -114,7 +87,7 @@ fn reference_counts(graph: &FactorGraph, plan: &ShardPlan, cfg: &InferConfig) ->
 
 #[test]
 fn cluster_counts_match_the_in_process_executor_bitwise() {
-    let g = grid(4);
+    let g = FactorGraph::lattice(4, 0.8, true);
     let cfg = cfg(120);
     let plan = plan_for(&g, 2);
     let reference = reference_counts(&g, &plan, &cfg);
@@ -138,7 +111,7 @@ fn cluster_counts_match_the_in_process_executor_bitwise() {
 
 #[test]
 fn killed_worker_is_restarted_from_checkpoint_and_counts_stay_bit_identical() {
-    let g = grid(4);
+    let g = FactorGraph::lattice(4, 0.8, true);
     let cfg = cfg(60);
     let plan = plan_for(&g, 2);
     let reference = reference_counts(&g, &plan, &cfg);
@@ -165,7 +138,7 @@ fn killed_worker_is_restarted_from_checkpoint_and_counts_stay_bit_identical() {
 
 #[test]
 fn killed_worker_without_checkpoints_replays_from_scratch_bit_identically() {
-    let g = grid(3);
+    let g = FactorGraph::lattice(3, 0.8, true);
     let cfg = cfg(40);
     let plan = plan_for(&g, 2);
     let reference = reference_counts(&g, &plan, &cfg);
@@ -188,7 +161,7 @@ fn killed_worker_without_checkpoints_replays_from_scratch_bit_identically() {
 
 #[test]
 fn exhausted_restart_budget_degrades_instead_of_failing() {
-    let g = grid(4);
+    let g = FactorGraph::lattice(4, 0.8, true);
     let cfg = cfg(60);
     let plan = plan_for(&g, 2);
 
@@ -222,7 +195,7 @@ fn exhausted_restart_budget_degrades_instead_of_failing() {
 
 #[test]
 fn stalled_worker_trips_the_heartbeat_and_the_run_terminates() {
-    let g = grid(3);
+    let g = FactorGraph::lattice(3, 0.8, true);
     let cfg = cfg(40);
     let plan = plan_for(&g, 2);
 
@@ -248,7 +221,7 @@ fn stalled_worker_trips_the_heartbeat_and_the_run_terminates() {
 
 #[test]
 fn corrupt_frame_is_rejected_and_the_worker_restarted() {
-    let g = grid(3);
+    let g = FactorGraph::lattice(3, 0.8, true);
     let cfg = cfg(40);
     let plan = plan_for(&g, 2);
     let reference = reference_counts(&g, &plan, &cfg);
@@ -281,7 +254,7 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
 
 #[test]
 fn status_board_fleet_metrics_match_the_per_shard_reports() {
-    let g = grid(4);
+    let g = FactorGraph::lattice(4, 0.8, true);
     let cfg = cfg(60);
     let plan = plan_for(&g, 2);
     let status = sya_shard::StatusServer::start("127.0.0.1:0").expect("status server");

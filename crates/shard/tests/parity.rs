@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sya_fg::{Factor, FactorGraph, FactorKind, SpatialFactor, VarId, Variable};
+use sya_fg::{exact_marginals, Factor, FactorGraph, FactorKind, SpatialFactor, VarId, Variable};
 use sya_geom::Point;
 use sya_ground::pyramid_cell_map;
 use sya_infer::{spatial_gibbs_with, InferConfig, PyramidIndex};
@@ -121,28 +121,6 @@ proptest! {
     }
 }
 
-/// Exact marginals `P(v = 1)` by enumerating every state of the free
-/// (binary) variables.
-fn exact_marginals(g: &FactorGraph) -> Vec<f64> {
-    let free = g.query_variables();
-    let mut state: Vec<u32> = g.variables().iter().map(|v| v.evidence.unwrap_or(0)).collect();
-    let mut mass = vec![0.0; g.num_variables()];
-    let mut z = 0.0;
-    for bits in 0..(1u32 << free.len()) {
-        for (i, &v) in free.iter().enumerate() {
-            state[v as usize] = (bits >> i) & 1;
-        }
-        let w = sya_fg::log_prob_unnormalized(g, &state).exp();
-        z += w;
-        for &v in &free {
-            if state[v as usize] == 1 {
-                mass[v as usize] += w;
-            }
-        }
-    }
-    mass.iter().map(|m| m / z).collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -173,29 +151,7 @@ proptest! {
 /// A 4×4 spatial grid with evidence in one corner plus logical
 /// couplings that cross conclique cells.
 fn coupled_grid() -> FactorGraph {
-    let n = 4;
-    let mut g = FactorGraph::new();
-    for r in 0..n {
-        for c in 0..n {
-            let mut v = Variable::binary(0, format!("v{r}_{c}"))
-                .at(Point::new(c as f64 + 0.5, r as f64 + 0.5));
-            if r == 0 && c == 0 {
-                v = v.with_evidence(1);
-            }
-            g.add_variable(v);
-        }
-    }
-    for r in 0..n {
-        for c in 0..n {
-            let i = (r * n + c) as VarId;
-            if c + 1 < n {
-                g.add_spatial_factor(SpatialFactor::binary(i, i + 1, 0.6));
-            }
-            if r + 1 < n {
-                g.add_spatial_factor(SpatialFactor::binary(i, i + n as VarId, 0.6));
-            }
-        }
-    }
+    let mut g = FactorGraph::lattice(4, 0.6, true);
     for (a, b) in [(1, 9), (2, 10), (5, 13), (3, 15), (4, 6)] {
         g.add_factor(Factor::new(FactorKind::Imply, vec![a, b], 0.7));
     }

@@ -132,7 +132,7 @@ fn local_update_resamples_a_strict_subset_of_query_variables() {
         kb.pyramid.as_ref().unwrap(),
         &changed,
         &kb.config.infer,
-        None,
+        &kb.counts,
         &sya_obs::Obs::disabled(),
     );
     assert!(!set.is_empty());
